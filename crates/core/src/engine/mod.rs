@@ -1054,7 +1054,7 @@ impl SsdSim {
                             GcNote::Erase(pbn) => oracle.note_erase(pbn, self.now),
                         }
                     }
-                    oracle.check_invariants(&self.ftl, self.now);
+                    oracle.check_invariants(&mut self.ftl, self.now);
                 }
             }
         }

@@ -3,6 +3,9 @@
 use nssd_flash::{Geometry, Pbn, Ppn};
 use nssd_sim::{ckpt, CkptError, CkptReader, CkptWriter};
 
+use crate::audit::DirtySet;
+use crate::FtlAudit;
+
 /// Lifecycle state of a physical block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockState {
@@ -17,11 +20,10 @@ pub enum BlockState {
     Bad,
 }
 
-/// Metadata for one physical block.
+/// Metadata for one physical block. Its valid-page bitmap lives in the
+/// [`BlockTable`]'s dense bitmap, so a plane's bitmaps share cache lines.
 #[derive(Debug, Clone)]
 pub struct BlockMeta {
-    /// Valid-page bitmap, one bit per page.
-    valid: Vec<u64>,
     valid_count: u32,
     write_ptr: u32,
     erase_count: u32,
@@ -32,9 +34,8 @@ pub struct BlockMeta {
 }
 
 impl BlockMeta {
-    fn new(pages: u32) -> Self {
+    fn new() -> Self {
         BlockMeta {
-            valid: vec![0; pages.div_ceil(64) as usize],
             valid_count: 0,
             write_ptr: 0,
             erase_count: 0,
@@ -69,12 +70,9 @@ impl BlockMeta {
         self.last_program
     }
 
-    fn is_valid(&self, page: u32) -> bool {
-        self.valid[(page / 64) as usize] & (1 << (page % 64)) != 0
-    }
-
-    fn set_valid(&mut self, page: u32, v: bool) {
-        let w = &mut self.valid[(page / 64) as usize];
+    /// Marks `page` valid or invalid in the block's bitmap `bits`.
+    fn set_valid(&mut self, bits: &mut [u64], page: u32, v: bool) {
+        let w = &mut bits[(page / 64) as usize];
         let bit = 1u64 << (page % 64);
         if v {
             debug_assert!(*w & bit == 0);
@@ -87,8 +85,8 @@ impl BlockMeta {
         }
     }
 
-    fn ckpt_save(&self, w: &mut CkptWriter) {
-        ckpt::put_u64_slice(w, &self.valid);
+    fn ckpt_save(&self, bits: &[u64], w: &mut CkptWriter) {
+        ckpt::put_u64_slice(w, bits);
         w.put_u32(self.valid_count);
         w.put_u32(self.write_ptr);
         w.put_u32(self.erase_count);
@@ -101,8 +99,8 @@ impl BlockMeta {
         w.put_u64(self.last_program);
     }
 
-    fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let valid = ckpt::take_u64_vec_exact(r, self.valid.len(), "valid bitmap")?;
+    fn ckpt_load(&mut self, bits: &mut [u64], r: &mut CkptReader) -> Result<(), CkptError> {
+        let valid = ckpt::take_u64_vec_exact(r, bits.len(), "valid bitmap")?;
         let valid_count = r.take_u32()?;
         let write_ptr = r.take_u32()?;
         let erase_count = r.take_u32()?;
@@ -114,7 +112,7 @@ impl BlockMeta {
             t => return Err(CkptError::Invalid(format!("block state tag {t}"))),
         };
         let last_program = r.take_u64()?;
-        self.valid = valid;
+        bits.copy_from_slice(&valid);
         self.valid_count = valid_count;
         self.write_ptr = write_ptr;
         self.erase_count = erase_count;
@@ -122,6 +120,24 @@ impl BlockMeta {
         self.last_program = last_program;
         Ok(())
     }
+}
+
+fn is_set(bits: &[u64], page: u32) -> bool {
+    bits[(page / 64) as usize] & (1 << (page % 64)) != 0
+}
+
+/// Whether any page in `from..pages` is set in `bits`.
+fn any_set_in(bits: &[u64], from: u32, pages: u32) -> bool {
+    if from >= pages {
+        return false;
+    }
+    let (first, last) = ((from / 64) as usize, ((pages - 1) / 64) as usize);
+    (first..=last).any(|w| {
+        let lo = if w == first { from % 64 } else { 0 };
+        let hi = if w == last { (pages - 1) % 64 } else { 63 };
+        let mask = (u64::MAX << lo) & (u64::MAX >> (63 - hi));
+        bits[w] & mask != 0
+    })
 }
 
 /// All block metadata for the device, with per-plane free lists.
@@ -141,6 +157,9 @@ impl BlockMeta {
 pub struct BlockTable {
     geometry: Geometry,
     blocks: Vec<BlockMeta>,
+    /// Valid-page bitmaps of every block, `words` per block, in PBN order.
+    valid: Vec<u64>,
+    words: usize,
     /// Free-block stacks, one per plane (indexed by plane-unit).
     free: Vec<Vec<u32>>,
     free_total: u64,
@@ -148,14 +167,17 @@ pub struct BlockTable {
     op_clock: u64,
     /// Blocks retired as bad.
     retired: u64,
+    /// Blocks changed since the last audit, while tracking is on.
+    changes: Option<DirtySet>,
 }
 
 impl BlockTable {
     /// Creates an all-free block table for `geometry`.
     pub fn new(geometry: &Geometry) -> Self {
         let blocks = (0..geometry.block_count())
-            .map(|_| BlockMeta::new(geometry.pages_per_block))
+            .map(|_| BlockMeta::new())
             .collect();
+        let words = geometry.pages_per_block.div_ceil(64) as usize;
         let planes = geometry.plane_count() as usize;
         let bpp = geometry.blocks_per_plane;
         // Stack with block 0 on top so allocation order is deterministic.
@@ -163,10 +185,13 @@ impl BlockTable {
         BlockTable {
             geometry: *geometry,
             blocks,
+            valid: vec![0; geometry.block_count() as usize * words],
+            words,
             free,
             free_total: geometry.block_count(),
             op_clock: 0,
             retired: 0,
+            changes: None,
         }
     }
 
@@ -179,6 +204,60 @@ impl BlockTable {
     /// belongs to.
     fn plane_unit_of(&self, pbn: Pbn) -> usize {
         (pbn.raw() / self.geometry.blocks_per_plane as u64) as usize
+    }
+
+    /// Records that `pbn` (and so its plane) changed, when tracking is on.
+    #[inline]
+    fn touch(&mut self, pbn: Pbn) {
+        if self.changes.is_some() {
+            self.record(pbn);
+        }
+    }
+
+    /// Out of line: only an audited table pays for marking.
+    #[cold]
+    #[inline(never)]
+    fn record(&mut self, pbn: Pbn) {
+        if let Some(changes) = self.changes.as_mut() {
+            changes.mark(pbn.raw());
+        }
+    }
+
+    /// Starts (or restarts, with nothing marked) recording changed blocks.
+    pub(crate) fn track_changes(&mut self) {
+        self.changes = Some(DirtySet::new(self.geometry.block_count()));
+    }
+
+    pub(crate) fn is_tracking_changes(&self) -> bool {
+        self.changes.is_some()
+    }
+
+    /// Raw PBNs of the blocks changed since the last
+    /// [`BlockTable::clear_changes`], in first-changed order (empty when
+    /// tracking is off). A block's change covers its plane's free list.
+    pub(crate) fn changed_blocks(&self) -> &[u64] {
+        self.changes.as_ref().map_or(&[], DirtySet::marked)
+    }
+
+    pub(crate) fn clear_changes(&mut self) {
+        if let Some(changes) = self.changes.as_mut() {
+            changes.clear();
+        }
+    }
+
+    /// The valid-page bitmap of `pbn`.
+    fn bits(&self, pbn: Pbn) -> &[u64] {
+        let at = pbn.raw() as usize * self.words;
+        &self.valid[at..at + self.words]
+    }
+
+    /// `pbn`'s metadata and valid-page bitmap, for mutation.
+    fn meta_bits_mut(&mut self, pbn: Pbn) -> (&mut BlockMeta, &mut [u64]) {
+        let at = pbn.raw() as usize * self.words;
+        (
+            &mut self.blocks[pbn.raw() as usize],
+            &mut self.valid[at..at + self.words],
+        )
     }
 
     /// Metadata for `pbn`.
@@ -208,6 +287,7 @@ impl BlockTable {
         self.free_total -= 1;
         let pbn =
             Pbn::new(plane_unit as u64 * self.geometry.blocks_per_plane as u64 + local as u64);
+        self.touch(pbn);
         let meta = &mut self.blocks[pbn.raw() as usize];
         debug_assert_eq!(meta.state, BlockState::Free);
         meta.state = BlockState::Open;
@@ -222,7 +302,7 @@ impl BlockTable {
     /// Panics if the block is [`BlockState::Free`] (not taken first).
     pub fn program_next_page(&mut self, pbn: Pbn) -> Option<Ppn> {
         let pages = self.geometry.pages_per_block;
-        let meta = &mut self.blocks[pbn.raw() as usize];
+        let (meta, bits) = self.meta_bits_mut(pbn);
         assert!(
             meta.state != BlockState::Free,
             "programming a free block {pbn} without taking it"
@@ -232,7 +312,8 @@ impl BlockTable {
         }
         let page = meta.write_ptr;
         meta.write_ptr += 1;
-        meta.set_valid(page, true);
+        meta.set_valid(bits, page, true);
+        self.touch(pbn);
         self.op_clock += 1;
         let clock = self.op_clock;
         let meta = &mut self.blocks[pbn.raw() as usize];
@@ -251,14 +332,27 @@ impl BlockTable {
     pub fn invalidate(&mut self, ppn: Ppn) {
         let pbn = self.geometry.pbn_of(ppn);
         let page = self.geometry.page_addr(ppn).page;
-        self.blocks[pbn.raw() as usize].set_valid(page, false);
+        let (meta, bits) = self.meta_bits_mut(pbn);
+        meta.set_valid(bits, page, false);
+        self.touch(pbn);
+    }
+
+    /// Flips the valid bit of `ppn` without touching the block's cached
+    /// valid count — a deliberate bitmap corruption that the structural
+    /// audit must report. Mutation hook for audit self-tests only.
+    #[cfg(test)]
+    pub(crate) fn debug_flip_valid_bit(&mut self, ppn: Ppn) {
+        let pbn = self.geometry.pbn_of(ppn);
+        let page = self.geometry.page_addr(ppn).page;
+        self.meta_bits_mut(pbn).1[(page / 64) as usize] ^= 1 << (page % 64);
+        self.touch(pbn);
     }
 
     /// Whether `ppn` holds live data.
     pub fn is_valid(&self, ppn: Ppn) -> bool {
         let pbn = self.geometry.pbn_of(ppn);
         let page = self.geometry.page_addr(ppn).page;
-        self.blocks[pbn.raw() as usize].is_valid(page)
+        is_set(self.bits(pbn), page)
     }
 
     /// The PPNs of all valid pages in `pbn`, in page order.
@@ -272,9 +366,9 @@ impl BlockTable {
     /// them — the GC hot path streams these straight into its reusable
     /// packet backlog.
     pub fn for_each_valid_page(&self, pbn: Pbn, mut f: impl FnMut(Ppn)) {
-        let meta = &self.blocks[pbn.raw() as usize];
-        for p in 0..meta.write_ptr {
-            if meta.is_valid(p) {
+        let bits = self.bits(pbn);
+        for p in 0..self.blocks[pbn.raw() as usize].write_ptr {
+            if is_set(bits, p) {
                 f(self.geometry.ppn_in_block(pbn, p));
             }
         }
@@ -296,8 +390,8 @@ impl BlockTable {
     /// See [`BlockTable::erase`]; `endurance_limit` of `None` never retires.
     pub fn erase_with_endurance(&mut self, pbn: Pbn, endurance_limit: Option<u32>) -> bool {
         let unit = self.plane_unit_of(pbn);
-        let pages = self.geometry.pages_per_block;
-        let meta = &mut self.blocks[pbn.raw() as usize];
+        self.touch(pbn);
+        let (meta, bits) = self.meta_bits_mut(pbn);
         assert_eq!(
             meta.valid_count, 0,
             "erasing block {pbn} with {} valid pages",
@@ -308,7 +402,7 @@ impl BlockTable {
         meta.write_ptr = 0;
         meta.erase_count += 1;
         meta.last_program = 0;
-        meta.valid = vec![0; pages.div_ceil(64) as usize];
+        bits.fill(0);
         if endurance_limit.is_some_and(|limit| meta.erase_count >= limit) {
             meta.state = BlockState::Bad;
             self.retired += 1;
@@ -330,6 +424,7 @@ impl BlockTable {
     /// in its plane's free list.
     pub fn mark_bad(&mut self, pbn: Pbn) {
         let unit = self.plane_unit_of(pbn);
+        self.touch(pbn);
         let meta = &mut self.blocks[pbn.raw() as usize];
         assert_eq!(meta.state, BlockState::Free, "can only retire free blocks");
         meta.state = BlockState::Bad;
@@ -350,12 +445,11 @@ impl BlockTable {
     /// already-Bad blocks.
     pub fn force_retire(&mut self, pbn: Pbn) {
         let unit = self.plane_unit_of(pbn);
-        let pages = self.geometry.pages_per_block;
-        let meta = &mut self.blocks[pbn.raw() as usize];
-        if meta.state == BlockState::Bad {
+        if self.blocks[pbn.raw() as usize].state == BlockState::Bad {
             return;
         }
-        if meta.state == BlockState::Free {
+        self.touch(pbn);
+        if self.blocks[pbn.raw() as usize].state == BlockState::Free {
             let local = (pbn.raw() % self.geometry.blocks_per_plane as u64) as u32;
             let pos = self.free[unit]
                 .iter()
@@ -364,7 +458,8 @@ impl BlockTable {
             self.free[unit].swap_remove(pos);
             self.free_total -= 1;
         }
-        meta.valid = vec![0; pages.div_ceil(64) as usize];
+        let (meta, bits) = self.meta_bits_mut(pbn);
+        bits.fill(0);
         meta.valid_count = 0;
         meta.state = BlockState::Bad;
         self.retired += 1;
@@ -408,30 +503,9 @@ impl BlockTable {
         let pages = self.geometry.pages_per_block as u64;
         let mut acc = PlaneAccounting::default();
         for raw in plane_unit as u64 * bpp..(plane_unit as u64 + 1) * bpp {
-            let meta = &self.blocks[raw as usize];
-            acc.blocks += 1;
-            match meta.state {
-                BlockState::Bad => {
-                    acc.bad_blocks += 1;
-                    acc.bad_pages += pages;
-                }
-                state => {
-                    if state == BlockState::Free {
-                        acc.free_blocks += 1;
-                    }
-                    acc.valid_pages += meta.valid_count as u64;
-                    acc.invalid_pages += (meta.write_ptr - meta.valid_count) as u64;
-                    acc.unwritten_pages += pages - meta.write_ptr as u64;
-                }
-            }
+            acc.add_block(&self.blocks[raw as usize], pages);
         }
         acc
-    }
-
-    /// Snapshot of every block's erase count, indexed by raw PBN — the
-    /// oracle compares consecutive snapshots to enforce monotonicity.
-    pub fn erase_counts(&self) -> Vec<u32> {
-        self.blocks.iter().map(|b| b.erase_count).collect()
     }
 
     /// Structural self-check of every block and free list. Returns one
@@ -441,104 +515,126 @@ impl BlockTable {
     /// exactly the Free blocks, and each plane conserves its page capacity.
     pub fn check_invariants(&self) -> Vec<String> {
         let mut problems = Vec::new();
+        FtlAudit::new(&self.geometry, 0).sweep_blocks(self, &mut problems);
+        problems
+    }
+
+    /// Per-block checks of block `raw`; returns its share of the global
+    /// counters and of its plane's page accounting.
+    pub(crate) fn audit_block(&self, raw: u64, problems: &mut Vec<String>) -> BlockTally {
         let pages = self.geometry.pages_per_block;
-        let mut free_state_total = 0u64;
-        let mut bad_total = 0u64;
-        for (pbn, meta) in self.iter() {
-            let popcount: u32 = meta.valid.iter().map(|w| w.count_ones()).sum();
-            if popcount != meta.valid_count {
+        let pbn = Pbn::new(raw);
+        let meta = &self.blocks[raw as usize];
+        let bits = self.bits(pbn);
+        let popcount: u32 = bits.iter().map(|w| w.count_ones()).sum();
+        if popcount != meta.valid_count {
+            problems.push(format!(
+                "block {pbn}: bitmap popcount {popcount} != valid_count {}",
+                meta.valid_count
+            ));
+        }
+        if meta.write_ptr > pages {
+            problems.push(format!(
+                "block {pbn}: write_ptr {} beyond {pages} pages",
+                meta.write_ptr
+            ));
+        }
+        if any_set_in(bits, meta.write_ptr, pages) {
+            problems.push(format!(
+                "block {pbn}: valid bit at or above write_ptr {}",
+                meta.write_ptr
+            ));
+        }
+        match meta.state {
+            BlockState::Free if meta.write_ptr != 0 || meta.valid_count != 0 => {
                 problems.push(format!(
-                    "block {pbn}: bitmap popcount {popcount} != valid_count {}",
+                    "block {pbn}: Free but write_ptr {} / valid {}",
+                    meta.write_ptr, meta.valid_count
+                ));
+            }
+            BlockState::Open if meta.write_ptr >= pages => {
+                problems.push(format!("block {pbn}: Open at write_ptr {}", meta.write_ptr));
+            }
+            BlockState::Full if meta.write_ptr != pages => {
+                problems.push(format!(
+                    "block {pbn}: Full at write_ptr {} of {pages}",
+                    meta.write_ptr
+                ));
+            }
+            BlockState::Bad if meta.valid_count != 0 => {
+                problems.push(format!(
+                    "block {pbn}: Bad with {} valid pages",
                     meta.valid_count
                 ));
             }
-            if meta.write_ptr > pages {
-                problems.push(format!(
-                    "block {pbn}: write_ptr {} beyond {pages} pages",
-                    meta.write_ptr
-                ));
-            }
-            if (meta.write_ptr..pages).any(|p| meta.is_valid(p)) {
-                problems.push(format!(
-                    "block {pbn}: valid bit at or above write_ptr {}",
-                    meta.write_ptr
-                ));
-            }
-            match meta.state {
-                BlockState::Free => {
-                    free_state_total += 1;
-                    if meta.write_ptr != 0 || meta.valid_count != 0 {
-                        problems.push(format!(
-                            "block {pbn}: Free but write_ptr {} / valid {}",
-                            meta.write_ptr, meta.valid_count
-                        ));
-                    }
-                }
-                BlockState::Open => {
-                    if meta.write_ptr >= pages {
-                        problems.push(format!("block {pbn}: Open at write_ptr {}", meta.write_ptr));
-                    }
-                }
-                BlockState::Full => {
-                    if meta.write_ptr != pages {
-                        problems.push(format!(
-                            "block {pbn}: Full at write_ptr {} of {pages}",
-                            meta.write_ptr
-                        ));
-                    }
-                }
-                BlockState::Bad => {
-                    bad_total += 1;
-                    if meta.valid_count != 0 {
-                        problems.push(format!(
-                            "block {pbn}: Bad with {} valid pages",
-                            meta.valid_count
-                        ));
-                    }
-                }
-            }
+            _ => {}
         }
-        let listed: u64 = self.free.iter().map(|f| f.len() as u64).sum();
-        if listed != self.free_total {
+        let mut acc = PlaneAccounting::default();
+        acc.add_block(meta, pages as u64);
+        BlockTally {
+            free: meta.state == BlockState::Free,
+            bad: meta.state == BlockState::Bad,
+            valid_pages: meta.valid_count,
+            accounted_pages: acc.page_total(),
+        }
+    }
+
+    /// Blocks listed in plane `unit`'s free list.
+    pub(crate) fn free_listed(&self, unit: usize) -> u64 {
+        self.free[unit].len() as u64
+    }
+
+    /// Checks `free_total` and `retired` against tallies summed over every
+    /// block and free list.
+    pub(crate) fn audit_totals(&self, totals: &Totals, problems: &mut Vec<String>) {
+        if totals.listed_free != self.free_total {
             problems.push(format!(
-                "free lists hold {listed} blocks but free_total is {}",
-                self.free_total
+                "free lists hold {} blocks but free_total is {}",
+                totals.listed_free, self.free_total
             ));
         }
-        if free_state_total != self.free_total {
+        if totals.free_state != self.free_total {
             problems.push(format!(
-                "{free_state_total} blocks in Free state but free_total is {}",
-                self.free_total
+                "{} blocks in Free state but free_total is {}",
+                totals.free_state, self.free_total
             ));
         }
-        if bad_total != self.retired {
+        if totals.bad != self.retired {
             problems.push(format!(
-                "{bad_total} blocks in Bad state but retired counter is {}",
-                self.retired
+                "{} blocks in Bad state but retired counter is {}",
+                totals.bad, self.retired
             ));
         }
-        for (unit, list) in self.free.iter().enumerate() {
-            for &local in list {
-                let raw = unit as u64 * self.geometry.blocks_per_plane as u64 + local as u64;
-                if self.blocks[raw as usize].state != BlockState::Free {
-                    problems.push(format!(
-                        "free list of plane {unit} lists non-Free block {}",
-                        Pbn::new(raw)
-                    ));
-                }
-            }
-        }
-        let per_plane = self.geometry.blocks_per_plane as u64 * pages as u64;
-        for unit in 0..self.geometry.plane_count() as usize {
-            let acc = self.plane_accounting(unit);
-            if acc.page_total() != per_plane {
+    }
+
+    /// Checks that plane `unit`'s free list holds only Free blocks.
+    pub(crate) fn audit_free_list(&self, unit: usize, problems: &mut Vec<String>) {
+        for &local in &self.free[unit] {
+            let raw = unit as u64 * self.geometry.blocks_per_plane as u64 + local as u64;
+            if self.blocks[raw as usize].state != BlockState::Free {
                 problems.push(format!(
-                    "plane {unit} accounts for {} of {per_plane} pages",
-                    acc.page_total()
+                    "free list of plane {unit} lists non-Free block {}",
+                    Pbn::new(raw)
                 ));
             }
         }
-        problems
+    }
+
+    /// Checks that plane `unit`, whose blocks account for `accounted`
+    /// pages, conserves its full page capacity.
+    pub(crate) fn audit_conservation(
+        &self,
+        unit: usize,
+        accounted: u64,
+        problems: &mut Vec<String>,
+    ) {
+        let per_plane =
+            self.geometry.blocks_per_plane as u64 * self.geometry.pages_per_block as u64;
+        if accounted != per_plane {
+            problems.push(format!(
+                "plane {unit} accounts for {accounted} of {per_plane} pages"
+            ));
+        }
     }
 
     /// Serializes every block's metadata, the per-plane free-list stacks
@@ -546,8 +642,8 @@ impl BlockTable {
     /// counters. Geometry is configuration and is not written.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.put_usize(self.blocks.len());
-        for b in &self.blocks {
-            b.ckpt_save(w);
+        for (i, b) in self.blocks.iter().enumerate() {
+            b.ckpt_save(&self.valid[i * self.words..(i + 1) * self.words], w);
         }
         w.put_usize(self.free.len());
         for list in &self.free {
@@ -578,8 +674,12 @@ impl BlockTable {
             )));
         }
         let pages = self.geometry.pages_per_block;
-        for b in &mut self.blocks {
-            b.ckpt_load(r)?;
+        for (b, bits) in self
+            .blocks
+            .iter_mut()
+            .zip(self.valid.chunks_exact_mut(self.words))
+        {
+            b.ckpt_load(bits, r)?;
             // Pre-validate the counter ordering the accounting arithmetic
             // relies on, so check_invariants below cannot underflow.
             if b.write_ptr > pages || b.valid_count > b.write_ptr {
@@ -618,6 +718,9 @@ impl BlockTable {
         self.free_total = r.take_u64()?;
         self.op_clock = r.take_u64()?;
         self.retired = r.take_u64()?;
+        // Restored state replaced every block wholesale: marks would not
+        // describe it, so an auditor must sweep again.
+        self.changes = None;
         let problems = self.check_invariants();
         if !problems.is_empty() {
             return Err(CkptError::Invalid(format!(
@@ -686,9 +789,58 @@ pub struct PlaneAccounting {
 }
 
 impl PlaneAccounting {
+    /// Classifies the pages of one block of `pages` pages.
+    fn add_block(&mut self, meta: &BlockMeta, pages: u64) {
+        self.blocks += 1;
+        match meta.state {
+            BlockState::Bad => {
+                self.bad_blocks += 1;
+                self.bad_pages += pages;
+            }
+            state => {
+                if state == BlockState::Free {
+                    self.free_blocks += 1;
+                }
+                self.valid_pages += meta.valid_count as u64;
+                self.invalid_pages += (meta.write_ptr - meta.valid_count) as u64;
+                self.unwritten_pages += pages - meta.write_ptr as u64;
+            }
+        }
+    }
+
     /// Sum over every page category; must equal the plane's capacity.
     pub fn page_total(&self) -> u64 {
         self.valid_pages + self.invalid_pages + self.unwritten_pages + self.bad_pages
+    }
+}
+
+/// One block's share of the counters the global block checks compare
+/// against, and of its plane's page accounting.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct BlockTally {
+    pub(crate) free: bool,
+    pub(crate) bad: bool,
+    pub(crate) valid_pages: u32,
+    /// Valid + invalid + unwritten pages, or all of them when Bad.
+    pub(crate) accounted_pages: u64,
+}
+
+/// Device-wide sums the global block checks compare against: listed free
+/// blocks, blocks in the Free and Bad states, and valid pages.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Totals {
+    pub(crate) listed_free: u64,
+    pub(crate) free_state: u64,
+    pub(crate) bad: u64,
+    pub(crate) valid_pages: u64,
+}
+
+impl Totals {
+    /// Swaps one block's old share for its new one.
+    pub(crate) fn swap_block(&mut self, old: &BlockTally, new: &BlockTally) {
+        self.free_state = self.free_state - old.free as u64 + new.free as u64;
+        self.bad = self.bad - old.bad as u64 + new.bad as u64;
+        self.valid_pages = self.valid_pages - old.valid_pages as u64 + new.valid_pages as u64;
     }
 }
 
@@ -894,18 +1046,6 @@ mod tests {
         assert_eq!(acc.bad_pages, g.pages_per_block as u64);
         assert_eq!(acc.page_total(), per_plane);
         assert!(t.check_invariants().is_empty());
-    }
-
-    #[test]
-    fn erase_counts_snapshot_tracks_erases() {
-        let mut t = table();
-        let pbn = t.take_free_block(0).unwrap();
-        let ppn = t.program_next_page(pbn).unwrap();
-        t.invalidate(ppn);
-        t.erase(pbn);
-        let counts = t.erase_counts();
-        assert_eq!(counts[pbn.raw() as usize], 1);
-        assert_eq!(counts.iter().map(|&c| c as u64).sum::<u64>(), 1);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use nssd_flash::{Geometry, GeometryError, Pbn, Ppn};
 use nssd_sim::{CkptError, CkptReader, CkptWriter, Rng};
 
 use crate::{
-    select_victims, AllocPolicy, BlockState, BlockTable, GcConfig, Lpn, MappingTable, OutOfSpace,
-    PageAllocator, PlacementSpec, RedundancyConfig, WayMask,
+    select_victims, AllocPolicy, BlockState, BlockTable, FtlAudit, GcConfig, Lpn, MappingTable,
+    OutOfSpace, PageAllocator, PlacementSpec, RedundancyConfig, WayMask,
 };
 
 /// FTL configuration.
@@ -959,18 +959,46 @@ impl Ftl {
     /// Full structural self-check: block-table invariants plus the
     /// mapping/valid-count agreement. Returns one message per violated
     /// invariant (empty = clean); the oracle funnels these into its
-    /// violation log.
+    /// violation log. [`FtlAudit`] proves the same invariants incrementally.
     pub fn check_invariants(&self) -> Vec<String> {
-        let mut problems = self.blocks.check_invariants();
-        if !self.mapping.check_consistency() {
-            problems.push("mapping forward/reverse tables disagree".into());
-        }
-        let mapped = self.mapping.mapped_pages();
-        let valid = self.blocks.total_valid_pages();
-        if mapped != valid {
-            problems.push(format!("{mapped} mapped pages but {valid} valid pages"));
-        }
-        problems
+        FtlAudit::new(&self.geometry, self.logical_pages).sweep(self)
+    }
+
+    /// Starts recording which blocks and mapping entries the FTL changes,
+    /// with nothing marked yet (restarts if already on). [`FtlAudit`] turns
+    /// this on at its first sweep and consumes the marks; restoring a
+    /// checkpoint turns it off.
+    pub(crate) fn track_changes(&mut self) {
+        self.blocks.track_changes();
+        self.mapping.track_changes();
+    }
+
+    /// Whether changes are being recorded.
+    pub(crate) fn is_tracking_changes(&self) -> bool {
+        self.blocks.is_tracking_changes() && self.mapping.is_tracking_changes()
+    }
+
+    /// Changed blocks plus changed LPN and PPN entries recorded since the
+    /// last audit (0 when tracking is off): the work the next incremental
+    /// audit will do.
+    pub fn audit_backlog(&self) -> usize {
+        let (lpns, ppns) = self.mapping.changed_entries();
+        self.blocks.changed_blocks().len() + lpns.len() + ppns.len()
+    }
+
+    pub(crate) fn mapping(&self) -> &MappingTable {
+        &self.mapping
+    }
+
+    pub(crate) fn clear_changes(&mut self) {
+        self.blocks.clear_changes();
+        self.mapping.clear_changes();
+    }
+
+    /// Both tables, for tests that corrupt them below the facade.
+    #[cfg(test)]
+    pub(crate) fn tables_mut(&mut self) -> (&mut BlockTable, &mut MappingTable) {
+        (&mut self.blocks, &mut self.mapping)
     }
 
     /// Serializes all mutable FTL state: mapping, block table, the three
@@ -1061,6 +1089,22 @@ impl Ftl {
     /// Panics if either LPN is unmapped or out of range.
     pub fn debug_swap_mapping(&mut self, a: Lpn, b: Lpn) {
         self.mapping.debug_swap(a, b);
+    }
+
+    /// Clears the valid bit of `lpn`'s page while leaving the mapping in
+    /// place — an FTL that invalidated a page but forgot to unmap it. The
+    /// structural check reports the mapped/valid disagreement. Mutation
+    /// hook for oracle self-tests only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lpn` is unmapped or out of range.
+    pub fn debug_drop_valid_page(&mut self, lpn: Lpn) {
+        let ppn = self
+            .mapping
+            .lookup(lpn)
+            .expect("debug_drop_valid_page requires a mapped LPN");
+        self.blocks.invalidate(ppn);
     }
 }
 

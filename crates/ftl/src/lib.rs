@@ -17,6 +17,9 @@
 //!   preemption) tuple, and new collectors are component swaps.
 //! * [`Ftl`] — the facade combining all of the above, plus instant-GC
 //!   preconditioning for experiments.
+//! * [`FtlAudit`] — the structural audit: a full sweep, or an incremental
+//!   re-check of only the planes and mapping entries changed since the
+//!   last audit.
 //!
 //! ```
 //! use nssd_ftl::{Ftl, FtlConfig, GcPlan, GcPolicy, Lpn};
@@ -40,6 +43,7 @@
 #![warn(missing_docs)]
 
 mod allocator;
+mod audit;
 mod block;
 mod ftl;
 mod gc;
@@ -49,6 +53,7 @@ mod redundancy;
 mod victim;
 
 pub use allocator::{AllocPolicy, OutOfSpace, PageAllocator, WayMask};
+pub use audit::FtlAudit;
 pub use block::{BlockMeta, BlockState, BlockTable, PlaneAccounting, WearSummary};
 pub use ftl::{
     ChipFailureOutcome, FailStopMode, Ftl, FtlConfig, FtlError, FtlStats, GcStream, Relocation,

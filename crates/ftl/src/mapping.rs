@@ -8,6 +8,8 @@ use core::fmt;
 use nssd_flash::Ppn;
 use nssd_sim::{ckpt, CkptError, CkptReader, CkptWriter};
 
+use crate::audit::DirtySet;
+
 /// A logical page number (host-visible page index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Lpn(u64);
@@ -53,6 +55,16 @@ pub struct MappingTable {
     l2p: Vec<u64>,
     p2l: Vec<u64>,
     mapped: u64,
+    /// Entries changed since the last audit, while tracking is on.
+    changes: Option<Box<EntryChanges>>,
+}
+
+/// The LPN and PPN entries a [`MappingTable`] primitive wrote, plus the
+/// entries their old values pointed at.
+#[derive(Debug, Clone)]
+struct EntryChanges {
+    lpns: DirtySet,
+    ppns: DirtySet,
 }
 
 impl MappingTable {
@@ -63,7 +75,77 @@ impl MappingTable {
             l2p: vec![UNMAPPED; logical_pages as usize],
             p2l: vec![UNMAPPED; physical_pages as usize],
             mapped: 0,
+            changes: None,
         }
+    }
+
+    /// Records, before they change, that the entries of `lpns` and `ppns`
+    /// changed, plus the entries their current values point at. Skips
+    /// [`UNMAPPED`] arguments. Out of line: only an audited table pays.
+    #[cold]
+    #[inline(never)]
+    fn record(&mut self, lpns: &[u64], ppns: &[u64]) {
+        let Some(c) = self.changes.as_deref_mut() else {
+            return;
+        };
+        for &l in lpns.iter().filter(|&&l| l != UNMAPPED) {
+            c.lpns.mark(l);
+            let p = self.l2p[l as usize];
+            if p != UNMAPPED {
+                c.ppns.mark(p);
+            }
+        }
+        for &p in ppns.iter().filter(|&&p| p != UNMAPPED) {
+            c.ppns.mark(p);
+            let l = self.p2l[p as usize];
+            if l != UNMAPPED {
+                c.lpns.mark(l);
+            }
+        }
+    }
+
+    /// Starts (or restarts, with nothing marked) recording changed entries.
+    pub(crate) fn track_changes(&mut self) {
+        self.changes = Some(Box::new(EntryChanges {
+            lpns: DirtySet::new(self.logical_pages()),
+            ppns: DirtySet::new(self.physical_pages()),
+        }));
+    }
+
+    pub(crate) fn is_tracking_changes(&self) -> bool {
+        self.changes.is_some()
+    }
+
+    /// Raw LPNs and PPNs whose entries changed since the last
+    /// [`MappingTable::clear_changes`] (empty when tracking is off).
+    pub(crate) fn changed_entries(&self) -> (&[u64], &[u64]) {
+        match self.changes.as_deref() {
+            Some(c) => (c.lpns.marked(), c.ppns.marked()),
+            None => (&[], &[]),
+        }
+    }
+
+    pub(crate) fn clear_changes(&mut self) {
+        if let Some(c) = self.changes.as_deref_mut() {
+            c.lpns.clear();
+            c.ppns.clear();
+        }
+    }
+
+    pub(crate) fn lpn_is_mapped(&self, lpn: u64) -> bool {
+        self.l2p[lpn as usize] != UNMAPPED
+    }
+
+    /// Whether raw `lpn` is unmapped or its page maps back to it.
+    pub(crate) fn lpn_consistent(&self, lpn: u64) -> bool {
+        let p = self.l2p[lpn as usize];
+        p == UNMAPPED || self.p2l[p as usize] == lpn
+    }
+
+    /// Whether raw `ppn` is unowned or its owner maps to it.
+    pub(crate) fn ppn_consistent(&self, ppn: u64) -> bool {
+        let l = self.p2l[ppn as usize];
+        l == UNMAPPED || self.l2p[l as usize] == ppn
     }
 
     /// Number of logical pages the table covers.
@@ -115,6 +197,9 @@ impl MappingTable {
             "physical page {ppn} already owned by lpn{prev_p}"
         );
         let old = self.l2p[lpn.raw() as usize];
+        if self.changes.is_some() {
+            self.record(&[lpn.raw()], &[ppn.raw(), old]);
+        }
         if old != UNMAPPED {
             self.p2l[old as usize] = UNMAPPED;
         } else {
@@ -134,6 +219,9 @@ impl MappingTable {
         let old = self.l2p[lpn.raw() as usize];
         if old == UNMAPPED {
             return None;
+        }
+        if self.changes.is_some() {
+            self.record(&[lpn.raw()], &[old]);
         }
         self.l2p[lpn.raw() as usize] = UNMAPPED;
         self.p2l[old as usize] = UNMAPPED;
@@ -157,10 +245,30 @@ impl MappingTable {
             pa != UNMAPPED && pb != UNMAPPED,
             "debug_swap requires two mapped LPNs"
         );
+        self.record(&[a.raw(), b.raw()], &[pa, pb]);
         self.l2p[a.raw() as usize] = pb;
         self.l2p[b.raw() as usize] = pa;
         self.p2l[pa as usize] = b.raw();
         self.p2l[pb as usize] = a.raw();
+    }
+
+    /// Overwrites the reverse entry of `ppn` alone, leaving the forward
+    /// table as it is — a deliberate inconsistency that
+    /// [`MappingTable::check_consistency`] must report. Mutation hook for
+    /// audit self-tests only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ppn` or `owner` is out of range.
+    #[cfg(test)]
+    pub(crate) fn debug_set_reverse(&mut self, ppn: Ppn, owner: Option<Lpn>) {
+        let owner = owner.map_or(UNMAPPED, Lpn::raw);
+        assert!(
+            owner == UNMAPPED || owner < self.logical_pages(),
+            "owner lpn{owner} out of range"
+        );
+        self.record(&[owner], &[ppn.raw()]);
+        self.p2l[ppn.raw() as usize] = owner;
     }
 
     /// Serializes both direction tables and the mapped count.
@@ -189,7 +297,14 @@ impl MappingTable {
         if p2l.iter().any(|&l| l != UNMAPPED && l >= l2p.len() as u64) {
             return Err(CkptError::Invalid("p2l entry out of logical range".into()));
         }
-        let restored = MappingTable { l2p, p2l, mapped };
+        // Restored tables replace every entry: marks would not describe
+        // them, so an auditor must sweep again.
+        let restored = MappingTable {
+            l2p,
+            p2l,
+            mapped,
+            changes: None,
+        };
         if !restored.check_consistency() {
             return Err(CkptError::Invalid(
                 "mapping table fails forward/reverse consistency".into(),
@@ -199,23 +314,13 @@ impl MappingTable {
         Ok(())
     }
 
-    /// Checks the forward/reverse consistency invariant; used by tests.
+    /// Checks the forward/reverse consistency invariant: every mapped LPN's
+    /// page maps back to it, every owned page's owner maps to it, and the
+    /// mapped count is exact.
     pub fn check_consistency(&self) -> bool {
-        let mut count = 0;
-        for (l, &p) in self.l2p.iter().enumerate() {
-            if p != UNMAPPED {
-                count += 1;
-                if self.p2l[p as usize] != l as u64 {
-                    return false;
-                }
-            }
-        }
-        for (p, &l) in self.p2l.iter().enumerate() {
-            if l != UNMAPPED && self.l2p[l as usize] != p as u64 {
-                return false;
-            }
-        }
-        count == self.mapped
+        (0..self.logical_pages()).all(|l| self.lpn_consistent(l))
+            && (0..self.physical_pages()).all(|p| self.ppn_consistent(p))
+            && self.l2p.iter().filter(|&&p| p != UNMAPPED).count() as u64 == self.mapped
     }
 }
 

@@ -10,6 +10,15 @@
 //! checker verifies that valid + invalid + unwritten + bad pages per plane
 //! always sum to the geometric capacity and that erase counts only grow.
 //!
+//! The conservation checker ([`Oracle::check_invariants`], called at every
+//! erase or retire) is incremental. It re-checks only the blocks, planes and
+//! mapping entries the FTL changed since the previous audit, through
+//! [`FtlAudit`], and reports exactly what a full sweep would. The full sweep
+//! runs at [`Oracle::final_check`] and as the first audit after
+//! construction, [`Oracle::sync_from_ftl`] or [`Oracle::ckpt_load`]. The
+//! shadow state is dense, indexed by LPN and PPN, so every hook is O(1) or
+//! O(pages per block).
+//!
 //! The oracle never aborts the simulation: violations accumulate in a
 //! [`ViolationLog`](nssd_sim::ViolationLog) and surface in the run report,
 //! where tests assert the log is empty (or, for mutation self-tests, that
@@ -29,6 +38,7 @@
 //! let out = ftl.write(Lpn::new(3))?;
 //! oracle.note_host_write(Lpn::new(3), out.ppn, SimTime::ZERO);
 //! oracle.check_host_read(Lpn::new(3), ftl.lookup(Lpn::new(3)), SimTime::ZERO);
+//! oracle.check_invariants(&mut ftl, SimTime::ZERO); // first audit: full sweep
 //! assert!(oracle.violations().is_empty());
 //! # Ok::<(), nssd_ftl::FtlError>(())
 //! ```
@@ -36,13 +46,32 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-
 use nssd_flash::{Geometry, Pbn, Ppn};
-use nssd_ftl::{Ftl, Lpn, Relocation};
+use nssd_ftl::{Ftl, FtlAudit, Lpn, Relocation};
 use nssd_sim::{ckpt, CkptError, CkptReader, CkptWriter, SimTime, ViolationLog};
 
 const UNMAPPED: u64 = u64::MAX;
+
+/// A physical page with no shadow content: owner [`UNMAPPED`].
+const NO_CONTENT: (u64, u64) = (UNMAPPED, 0);
+
+/// The shadow state of one LPN. The fields sit together because every hook
+/// that reads one reads the others.
+#[derive(Debug, Clone, Copy)]
+struct Shadow {
+    /// Raw PPN of the LPN's home, [`UNMAPPED`] when never written.
+    ppn: u64,
+    /// Content token of the last write.
+    token: u64,
+    /// Host writes observed (the digest input).
+    writes: u64,
+}
+
+const NEVER_WRITTEN: Shadow = Shadow {
+    ppn: UNMAPPED,
+    token: 0,
+    writes: 0,
+};
 
 /// SplitMix64 finalizer — the deterministic mixing function behind content
 /// tokens and the functional digest.
@@ -62,7 +91,7 @@ fn mix(mut x: u64) -> u64 {
 pub struct OracleSummary {
     /// Whether an oracle ran at all (`false` in the default report).
     pub enabled: bool,
-    /// Cross-checks performed (reads verified + invariant sweeps).
+    /// Cross-checks performed (reads verified + invariant audits).
     pub checks: u64,
     /// Rendered violations, in detection order (empty = clean run).
     pub violations: Vec<String>,
@@ -78,16 +107,15 @@ pub struct OracleSummary {
 pub struct Oracle {
     geometry: Geometry,
     logical_pages: u64,
-    /// Shadow L2P: raw PPN per LPN, [`UNMAPPED`] when never written.
-    l2p: Vec<u64>,
-    /// Content token of the last write to each LPN.
-    token: Vec<u64>,
-    /// Host writes observed per LPN (the digest input).
-    writes: Vec<u64>,
-    /// Shadow physical state: raw PPN → (owner raw LPN, content token).
-    phys: HashMap<u64, (u64, u64)>,
-    /// Erase-count snapshot from the previous invariant sweep.
+    /// Shadow L2P, content token and write count, indexed by raw LPN.
+    lpns: Vec<Shadow>,
+    /// Shadow physical state, indexed by raw PPN: (owner raw LPN, content
+    /// token), or [`NO_CONTENT`].
+    phys: Vec<(u64, u64)>,
+    /// Erase count of every block as of its last audit.
     last_erase_counts: Vec<u32>,
+    /// Structural auditor: tallies carried between audits.
+    audit: FtlAudit,
     write_seq: u64,
     checks: u64,
     log: ViolationLog,
@@ -99,11 +127,10 @@ impl Oracle {
         Oracle {
             geometry,
             logical_pages,
-            l2p: vec![UNMAPPED; logical_pages as usize],
-            token: vec![0; logical_pages as usize],
-            writes: vec![0; logical_pages as usize],
-            phys: HashMap::new(),
+            lpns: vec![NEVER_WRITTEN; logical_pages as usize],
+            phys: vec![NO_CONTENT; geometry.page_count() as usize],
             last_erase_counts: vec![0; geometry.block_count() as usize],
+            audit: FtlAudit::new(&geometry, logical_pages),
             write_seq: 0,
             checks: 0,
             log: ViolationLog::new(),
@@ -115,26 +142,31 @@ impl Oracle {
     /// before `run()`, chip-failure recovery). Content tokens of LPNs that
     /// stay mapped are preserved so later read checks remain meaningful;
     /// newly appearing LPNs get fresh tokens. Write counters are untouched.
+    /// The next invariant audit is a full sweep.
     pub fn sync_from_ftl(&mut self, ftl: &Ftl) {
-        self.phys.clear();
+        self.phys.fill(NO_CONTENT);
         for l in 0..self.logical_pages {
             let lpn = Lpn::new(l);
+            let shadow = &mut self.lpns[l as usize];
             match ftl.lookup(lpn) {
                 Some(ppn) => {
-                    if self.l2p[l as usize] == UNMAPPED {
+                    if shadow.ppn == UNMAPPED {
                         self.write_seq += 1;
-                        self.token[l as usize] = mix(l ^ mix(self.write_seq));
+                        shadow.token = mix(l ^ mix(self.write_seq));
                     }
-                    self.l2p[l as usize] = ppn.raw();
-                    self.phys.insert(ppn.raw(), (l, self.token[l as usize]));
+                    shadow.ppn = ppn.raw();
+                    self.phys[ppn.raw() as usize] = (l, shadow.token);
                 }
                 None => {
-                    self.l2p[l as usize] = UNMAPPED;
-                    self.token[l as usize] = 0;
+                    shadow.ppn = UNMAPPED;
+                    shadow.token = 0;
                 }
             }
         }
-        self.last_erase_counts = ftl.blocks().erase_counts();
+        for ((_, meta), last) in ftl.blocks().iter().zip(&mut self.last_erase_counts) {
+            *last = meta.erase_count();
+        }
+        self.audit.reset();
     }
 
     /// Records a host write of `lpn` onto `ppn`, assigning a fresh content
@@ -142,25 +174,24 @@ impl Oracle {
     /// a double allocation the mapping table itself might miss.
     pub fn note_host_write(&mut self, lpn: Lpn, ppn: Ppn, at: SimTime) {
         let l = lpn.raw() as usize;
-        if let Some(&(owner, _)) = self.phys.get(&ppn.raw()) {
-            if owner != lpn.raw() && self.l2p[owner as usize] == ppn.raw() {
-                self.log.report(
-                    "write-double-alloc",
-                    at,
-                    format!("{ppn} written for {lpn} but still live for lpn{owner}"),
-                );
-            }
-        }
-        let old = self.l2p[l];
-        if old != UNMAPPED {
-            self.phys.remove(&old);
+        let (owner, _) = self.phys[ppn.raw() as usize];
+        if owner != UNMAPPED && owner != lpn.raw() && self.lpns[owner as usize].ppn == ppn.raw() {
+            self.log.report(
+                "write-double-alloc",
+                at,
+                format!("{ppn} written for {lpn} but still live for lpn{owner}"),
+            );
         }
         self.write_seq += 1;
         let token = mix(lpn.raw() ^ mix(self.write_seq));
-        self.l2p[l] = ppn.raw();
-        self.token[l] = token;
-        self.writes[l] += 1;
-        self.phys.insert(ppn.raw(), (lpn.raw(), token));
+        let shadow = &mut self.lpns[l];
+        if shadow.ppn != UNMAPPED {
+            self.phys[shadow.ppn as usize] = NO_CONTENT;
+        }
+        shadow.ppn = ppn.raw();
+        shadow.token = token;
+        shadow.writes += 1;
+        self.phys[ppn.raw() as usize] = (lpn.raw(), token);
     }
 
     /// Cross-checks a host read at issue time: the translation the real FTL
@@ -169,7 +200,9 @@ impl Oracle {
     /// write — anything else is data served from the wrong place.
     pub fn check_host_read(&mut self, lpn: Lpn, ppn: Option<Ppn>, at: SimTime) {
         self.checks += 1;
-        let shadow = self.l2p[lpn.raw() as usize];
+        let Shadow {
+            ppn: shadow, token, ..
+        } = self.lpns[lpn.raw() as usize];
         match ppn {
             None if shadow == UNMAPPED => {}
             None => self.log.report(
@@ -187,15 +220,14 @@ impl Oracle {
                 at,
                 format!("{lpn} served from {p} but shadow maps it to ppn{shadow}"),
             ),
-            Some(p) => match self.phys.get(&p.raw()) {
-                Some(&(owner, tok))
-                    if owner == lpn.raw() && tok == self.token[lpn.raw() as usize] => {}
-                Some(&(owner, _)) => self.log.report(
+            Some(p) => match self.phys[p.raw() as usize] {
+                (owner, tok) if owner == lpn.raw() && tok == token => {}
+                (owner, _) if owner != UNMAPPED => self.log.report(
                     "read-content",
                     at,
                     format!("{p} read for {lpn} but holds lpn{owner}'s data"),
                 ),
-                None => self.log.report(
+                _ => self.log.report(
                     "read-content",
                     at,
                     format!("{p} read for {lpn} but the shadow has no content there"),
@@ -208,9 +240,10 @@ impl Oracle {
     /// of the LPN (else the collector copied a stale page), and the content
     /// token travels unchanged to the destination.
     pub fn note_relocation(&mut self, rel: Relocation, at: SimTime) {
-        let l = rel.lpn.raw() as usize;
-        if self.l2p[l] != rel.src.raw() {
-            let shadow = self.l2p[l];
+        let Shadow {
+            ppn: shadow, token, ..
+        } = self.lpns[rel.lpn.raw() as usize];
+        if shadow != rel.src.raw() {
             self.log.report(
                 "relocation-source",
                 at,
@@ -220,10 +253,11 @@ impl Oracle {
                 ),
             );
         }
-        self.phys.remove(&self.l2p[l]);
-        self.l2p[l] = rel.dst.raw();
-        self.phys
-            .insert(rel.dst.raw(), (rel.lpn.raw(), self.token[l]));
+        if shadow != UNMAPPED {
+            self.phys[shadow as usize] = NO_CONTENT;
+        }
+        self.lpns[rel.lpn.raw() as usize].ppn = rel.dst.raw();
+        self.phys[rel.dst.raw() as usize] = (rel.lpn.raw(), token);
     }
 
     /// Checks and records a block erase: no page of `pbn` may still be the
@@ -242,58 +276,68 @@ impl Oracle {
     fn check_block_gone(&mut self, pbn: Pbn, invariant: &'static str, at: SimTime) {
         self.checks += 1;
         for ppn in self.geometry.block_ppns(pbn) {
-            if let Some(&(owner, _)) = self.phys.get(&ppn.raw()) {
-                if self.l2p[owner as usize] == ppn.raw() {
-                    self.log.report(
-                        invariant,
-                        at,
-                        format!("{pbn} wiped {ppn}, still live for lpn{owner}"),
-                    );
-                    self.l2p[owner as usize] = UNMAPPED;
-                }
+            let (owner, _) = std::mem::replace(&mut self.phys[ppn.raw() as usize], NO_CONTENT);
+            if owner != UNMAPPED && self.lpns[owner as usize].ppn == ppn.raw() {
+                self.log.report(
+                    invariant,
+                    at,
+                    format!("{pbn} wiped {ppn}, still live for lpn{owner}"),
+                );
+                self.lpns[owner as usize].ppn = UNMAPPED;
             }
-            self.phys.remove(&ppn.raw());
         }
     }
 
-    /// Conservation sweep over the real FTL: structural block/mapping
-    /// invariants, per-plane page conservation, and erase-count
-    /// monotonicity against the previous sweep's snapshot.
-    pub fn check_invariants(&mut self, ftl: &Ftl, at: SimTime) {
-        self.checks += 1;
-        for problem in ftl.check_invariants() {
-            self.log.report("ftl-structural", at, problem);
-        }
-        let counts = ftl.blocks().erase_counts();
-        for (raw, (&now, &before)) in counts.iter().zip(&self.last_erase_counts).enumerate() {
-            if now < before {
-                self.log.report(
-                    "erase-count-monotone",
-                    at,
-                    format!(
-                        "{} erase count fell from {before} to {now}",
-                        Pbn::new(raw as u64)
-                    ),
-                );
-            }
-        }
-        self.last_erase_counts = counts;
+    /// Conservation audit of the real FTL at an erase or retire:
+    /// structural block/mapping invariants, per-plane page conservation,
+    /// and erase-count monotonicity against each block's count at the
+    /// previous audit. Re-checks only the blocks, planes and mapping
+    /// entries `ftl` changed since the previous audit; the first audit
+    /// after construction, [`Oracle::sync_from_ftl`] or
+    /// [`Oracle::ckpt_load`] is a full sweep and starts `ftl`'s change
+    /// tracking.
+    pub fn check_invariants(&mut self, ftl: &mut Ftl, at: SimTime) {
+        let problems = self.audit.audit(ftl);
+        self.record_audit(ftl, problems, at);
     }
 
     /// End-of-run sweep: every LPN's real translation must equal the shadow
-    /// map, plus a final conservation sweep.
+    /// map, plus a full conservation sweep.
     pub fn final_check(&mut self, ftl: &Ftl, at: SimTime) {
-        self.check_invariants(ftl, at);
+        let problems = self.audit.sweep(ftl);
+        self.record_audit(ftl, problems, at);
         self.checks += 1;
         for l in 0..self.logical_pages {
             let lpn = Lpn::new(l);
             let real = ftl.lookup(lpn).map(Ppn::raw).unwrap_or(UNMAPPED);
-            let shadow = self.l2p[l as usize];
+            let shadow = self.lpns[l as usize].ppn;
             if real != shadow {
                 self.log.report(
                     "final-mapping",
                     at,
                     format!("{lpn}: ftl says {real}, shadow says {shadow} (raw ppn)"),
+                );
+            }
+        }
+    }
+
+    /// Logs an audit's structural problems, then checks erase-count
+    /// monotonicity over the blocks it covered.
+    fn record_audit(&mut self, ftl: &Ftl, problems: Vec<String>, at: SimTime) {
+        self.checks += 1;
+        for problem in problems {
+            self.log.report("ftl-structural", at, problem);
+        }
+        for &raw in self.audit.audited_blocks() {
+            let pbn = Pbn::new(raw);
+            let now = ftl.blocks().meta(pbn).erase_count();
+            let last = &mut self.last_erase_counts[raw as usize];
+            let before = std::mem::replace(last, now);
+            if now < before {
+                self.log.report(
+                    "erase-count-monotone",
+                    at,
+                    format!("{pbn} erase count fell from {before} to {now}"),
                 );
             }
         }
@@ -305,10 +349,10 @@ impl Oracle {
     /// and dedicated backends driving the same logical workload must agree.
     pub fn functional_digest(&self) -> u64 {
         let mut h = mix(self.logical_pages);
-        for l in 0..self.logical_pages as usize {
-            let mapped = (self.l2p[l] != UNMAPPED) as u64;
-            if self.writes[l] != 0 || mapped != 0 {
-                h = mix(h ^ mix(l as u64) ^ mix(self.writes[l].wrapping_mul(3)) ^ mapped);
+        for (l, s) in (0u64..).zip(&self.lpns) {
+            let mapped = (s.ppn != UNMAPPED) as u64;
+            if s.writes != 0 || mapped != 0 {
+                h = mix(h ^ mix(l) ^ mix(s.writes.wrapping_mul(3)) ^ mapped);
             }
         }
         h
@@ -320,13 +364,20 @@ impl Oracle {
     /// Geometry and logical-page count are not written — restore targets an
     /// [`Oracle::new`]-built instance of the same shape.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        ckpt::put_u64_slice(w, &self.l2p);
-        ckpt::put_u64_slice(w, &self.token);
-        ckpt::put_u64_slice(w, &self.writes);
-        let mut phys: Vec<(u64, (u64, u64))> = self.phys.iter().map(|(&k, &v)| (k, v)).collect();
-        phys.sort_unstable_by_key(|&(k, _)| k);
-        w.put_usize(phys.len());
-        for (ppn, (lpn, tok)) in phys {
+        let columns: [fn(&Shadow) -> u64; 3] = [|s| s.ppn, |s| s.token, |s| s.writes];
+        for column in columns {
+            w.put_usize(self.lpns.len());
+            for s in &self.lpns {
+                w.put_u64(column(s));
+            }
+        }
+        let live = || {
+            (0u64..)
+                .zip(&self.phys)
+                .filter(|(_, &(owner, _))| owner != UNMAPPED)
+        };
+        w.put_usize(live().count());
+        for (ppn, &(lpn, tok)) in live() {
             w.put_u64(ppn);
             w.put_u64(lpn);
             w.put_u64(tok);
@@ -354,7 +405,7 @@ impl Oracle {
         let writes = ckpt::take_u64_vec_exact(r, logical, "oracle write counts")?;
         let page_count = self.geometry.page_count();
         let n = r.take_count(24)?;
-        let mut phys = HashMap::with_capacity(n);
+        let mut phys = vec![NO_CONTENT; page_count as usize];
         let mut prev: Option<u64> = None;
         for _ in 0..n {
             let ppn = r.take_u64()?;
@@ -377,7 +428,7 @@ impl Oracle {
                 ));
             }
             prev = Some(ppn);
-            phys.insert(ppn, (lpn, tok));
+            phys[ppn as usize] = (lpn, tok);
         }
         let blocks = r.take_count(4)?;
         if blocks != self.last_erase_counts.len() {
@@ -393,14 +444,18 @@ impl Oracle {
         let write_seq = r.take_u64()?;
         let checks = r.take_u64()?;
         let log = ViolationLog::ckpt_load(r)?;
-        self.l2p = l2p;
-        self.token = token;
-        self.writes = writes;
+        self.lpns = l2p
+            .into_iter()
+            .zip(token)
+            .zip(writes)
+            .map(|((ppn, token), writes)| Shadow { ppn, token, writes })
+            .collect();
         self.phys = phys;
         self.last_erase_counts = last_erase_counts;
         self.write_seq = write_seq;
         self.checks = checks;
         self.log = log;
+        self.audit.reset();
         Ok(())
     }
 
@@ -488,7 +543,7 @@ mod tests {
             oracle.note_host_write(lpn, out.ppn, SimTime::from_ns(t));
             t += 1;
         }
-        oracle.check_invariants(&ftl, SimTime::from_ns(t));
+        oracle.check_invariants(&mut ftl, SimTime::from_ns(t));
         oracle.final_check(&ftl, SimTime::from_ns(t));
         assert!(ftl.stats().erases > 0, "churn never triggered GC");
         assert!(oracle.violations().is_empty(), "{:?}", oracle.violations());
@@ -569,7 +624,7 @@ mod tests {
         assert_ne!(oa.functional_digest(), ob.functional_digest());
         // ...and still differ after trim (write counts are part of history).
         b.trim(decoy).unwrap();
-        ob.l2p[decoy.raw() as usize] = UNMAPPED;
+        ob.lpns[decoy.raw() as usize].ppn = UNMAPPED;
         assert_ne!(oa.functional_digest(), ob.functional_digest());
         // Identical histories agree despite different physical placement.
         let (mut c, mut oc) = tiny_pair();

@@ -116,8 +116,15 @@ for r in d['runs']:
 EOF
 
 echo "==> oracle mutation self-test"
-# Plants a corrupted mapping entry and a dropped GC copy; the shadow oracle
-# must flag both, or the invariant layer has gone blind.
+# Plants a corrupted mapping entry, a dropped GC copy and a valid bit cleared
+# under a live mapping; the shadow oracle must flag each (the structural one
+# at the first erase after the plant), or the invariant layer has gone blind.
 cargo test --release -q --test oracle
+
+echo "==> benchmark self-test"
+# The repository benchmark's own checks: exact counts repeat, a held-out
+# seed runs clean, and the oracle-on cell's report equals the oracle-off
+# run outside the oracle block (the oracle observes, it never steers).
+cargo test --release --offline --manifest-path nssdbench/Cargo.toml
 
 echo "CI gate passed."

@@ -2,19 +2,22 @@
 //! caught, and the functional digest is architecture-independent.
 //!
 //! The mutation self-tests are the oracle's own regression gate: each one
-//! plants a defect the simulator's structural checks cannot see (a silently
-//! swapped mapping entry, a GC copy whose relocation is never performed)
-//! and asserts the shadow model reports it. If the oracle ever goes blind,
-//! these tests — not a lucky workload — say so.
+//! plants a defect (a silently swapped mapping entry, a GC copy whose
+//! relocation is never performed, a valid bit cleared under a live
+//! mapping) and asserts the shadow model reports it — the structural ones
+//! at the first erase after the plant, where the incremental audit runs.
+//! If the oracle ever goes blind, these tests — not a lucky workload — say
+//! so.
 
-use networked_ssd::core::{Drive, SsdSim};
-use networked_ssd::flash::Geometry;
-use networked_ssd::ftl::{Ftl, FtlConfig, Lpn, WayMask};
+use networked_ssd::core::{prepare_trace_preconditioned, Checkpoint, Drive, SsdSim};
+use networked_ssd::flash::{Geometry, Ppn};
+use networked_ssd::ftl::{Ftl, FtlConfig, Lpn, Relocation, WayMask};
 use networked_ssd::host::{IoOp, IoRequest};
 use networked_ssd::oracle::Oracle;
 use networked_ssd::sim::{DetRng, SimTime};
 use networked_ssd::{
-    run_trace, run_trace_preconditioned, Architecture, GcPolicy, PaperWorkload, SsdConfig,
+    run_trace, run_trace_preconditioned, Architecture, GcPolicy, PaperWorkload, SimReport,
+    SsdConfig,
 };
 
 fn oracle_cfg(arch: Architecture, policy: GcPolicy) -> SsdConfig {
@@ -189,4 +192,136 @@ fn functional_digest_is_identical_across_gc_policies() {
         .collect();
     assert_eq!(digests[0], digests[1], "PaGC vs preemptive");
     assert_eq!(digests[0], digests[2], "PaGC vs spatial");
+}
+
+#[test]
+fn relocation_of_a_never_mapped_lpn_is_reported_not_a_panic() {
+    let mut fcfg = FtlConfig::evaluation_defaults();
+    fcfg.geometry = Geometry::tiny();
+    fcfg.gc.victims_per_trigger = 2;
+    let ftl = Ftl::new(fcfg).unwrap();
+    let mut oracle = Oracle::new(*ftl.geometry(), ftl.logical_pages());
+    // The shadow maps lpn5 nowhere: the relocation's source cannot be its
+    // home, and the unmapped sentinel must not be used as a page index.
+    let rel = Relocation {
+        lpn: Lpn::new(5),
+        src: Ppn::new(10),
+        dst: Ppn::new(11),
+    };
+    oracle.note_relocation(rel, SimTime::from_ns(3));
+    let rendered = oracle.violations().render();
+    assert_eq!(rendered.len(), 1, "{rendered:?}");
+    assert!(
+        rendered[0].starts_with("[relocation-source]"),
+        "{rendered:?}"
+    );
+}
+
+/// An aged tiny pnSSD with PaGC and the oracle on, synced, plus the drive
+/// of a ycsb-a trace over the first half of the logical space.
+fn aged_oracle_sim() -> (SsdConfig, SsdSim, Drive) {
+    let cfg = oracle_cfg(Architecture::PnSsd, GcPolicy::Parallel);
+    let trace = PaperWorkload::YcsbA.generate(150, cfg.logical_bytes() / 2, 23);
+    let (mut sim, drive) = prepare_trace_preconditioned(cfg, &trace, 0.85, 0.3).unwrap();
+    sim.oracle_sync();
+    (cfg, sim, drive)
+}
+
+/// A mapped LPN the trace never touches, on a block GC will not pick soon
+/// (the fullest one), so the planted defect survives the short run.
+fn cold_lpn(sim: &SsdSim) -> Lpn {
+    let ftl = sim.ftl();
+    let g = *ftl.geometry();
+    (ftl.logical_pages() / 2..ftl.logical_pages())
+        .map(Lpn::new)
+        .filter_map(|l| ftl.lookup(l).map(|p| (l, p)))
+        .max_by_key(|&(_, p)| ftl.blocks().meta(g.pbn_of(p)).valid_count())
+        .expect("preconditioning mapped the upper half")
+        .0
+}
+
+/// Steps until the FTL counts another erase (or retire) — the oracle
+/// audits in the same event — and returns its time.
+fn step_to_next_erase(sim: &mut SsdSim) -> SimTime {
+    let before = sim.ftl().stats().erases;
+    while sim.ftl().stats().erases == before {
+        assert!(sim.step(), "the run ended without another erase");
+    }
+    sim.now()
+}
+
+/// Steps past `t`, so the end-of-run sweep carries a later timestamp, and
+/// finishes the report there.
+fn report_after(mut sim: SsdSim, t: SimTime) -> SimReport {
+    while sim.now() == t && sim.step() {}
+    assert!(sim.now() > t, "no event after {t}");
+    sim.into_report()
+}
+
+/// The first `ftl-structural` violation must carry the erase time `t`.
+fn assert_structural_fires_at(report: &SimReport, t: SimTime) {
+    let first = report
+        .oracle
+        .violations
+        .iter()
+        .find(|v| v.starts_with("[ftl-structural]"))
+        .unwrap_or_else(|| panic!("defect not flagged: {:?}", report.oracle.violations));
+    assert!(
+        first.starts_with(&format!("[ftl-structural] at {t}: ")),
+        "flagged at the wrong time (erase at {t}): {first}"
+    );
+    assert!(first.contains("mapped pages but"), "{first}");
+}
+
+/// Mutation self-test 3: after the oracle's first audit has armed change
+/// tracking, clear one valid bit under a live mapping. The next audit is
+/// incremental; it must see the plane the hook dirtied and report at that
+/// erase, not at the end-of-run sweep.
+#[test]
+fn dropped_valid_bit_fires_at_the_first_erase_after_the_plant() {
+    let (_, mut sim, drive) = aged_oracle_sim();
+    sim.start(drive);
+    step_to_next_erase(&mut sim);
+    let lpn = cold_lpn(&sim);
+    sim.ftl_mut().debug_drop_valid_page(lpn);
+    assert!(!sim.ftl().check_consistency());
+    let t = step_to_next_erase(&mut sim);
+    assert_structural_fires_at(&report_after(sim, t), t);
+}
+
+/// Checkpoints an aged oracle-on run mid-GC, with audit marks pending.
+fn checkpoint_mid_gc() -> (SsdConfig, SsdSim, Vec<u8>) {
+    let (cfg, mut sim, drive) = aged_oracle_sim();
+    sim.start(drive);
+    step_to_next_erase(&mut sim);
+    let relocations = sim.ftl().stats().gc_relocations;
+    while sim.ftl().stats().gc_relocations == relocations || sim.ftl().audit_backlog() == 0 {
+        assert!(sim.step(), "GC stopped before a mid-GC checkpoint");
+    }
+    let bytes = Checkpoint::save(&sim);
+    (cfg, sim, bytes)
+}
+
+#[test]
+fn mid_gc_oracle_checkpoint_round_trips_byte_identically() {
+    let (cfg, mut sim, bytes) = checkpoint_mid_gc();
+    let mut resumed = Checkpoint::resume(cfg, &bytes).unwrap();
+    // Pending audit marks are not state: the resumed run sweeps instead.
+    assert_eq!(resumed.ftl().audit_backlog(), 0);
+    assert_eq!(Checkpoint::save(&resumed), bytes);
+    sim.run_to_idle();
+    resumed.run_to_idle();
+    let (a, b) = (sim.into_report(), resumed.into_report());
+    assert!(a.oracle.violations.is_empty(), "{:?}", a.oracle.violations);
+    assert_eq!(a, b);
+}
+
+#[test]
+fn corruption_planted_after_resume_fires_at_the_next_erase() {
+    let (cfg, _, bytes) = checkpoint_mid_gc();
+    let mut resumed = Checkpoint::resume(cfg, &bytes).unwrap();
+    let lpn = cold_lpn(&resumed);
+    resumed.ftl_mut().debug_drop_valid_page(lpn);
+    let t = step_to_next_erase(&mut resumed);
+    assert_structural_fires_at(&report_after(resumed, t), t);
 }
