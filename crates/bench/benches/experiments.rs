@@ -24,7 +24,7 @@ fn bench(name: &str, iters: u32, mut f: impl FnMut() -> u64) {
 
 fn tiny_io_cfg(arch: Architecture) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     cfg
 }
 
@@ -61,7 +61,7 @@ fn bench_fig16_family() {
 fn bench_fig19_family() {
     for policy in [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial] {
         let mut cfg = SsdConfig::tiny(Architecture::PnSsdSplit);
-        cfg.gc.policy = policy;
+        cfg.gc.plan = Some(policy.plan());
         cfg.gc.victims_per_trigger = 2;
         let spec = SyntheticSpec {
             pattern: SyntheticPattern::RandomWrite,

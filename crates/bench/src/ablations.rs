@@ -4,7 +4,7 @@
 
 use nssd_core::{run_closed_loop, run_trace, run_trace_preconditioned, Architecture};
 use nssd_flash::{FlashTiming, Geometry};
-use nssd_ftl::{GcPolicy, VictimPolicy};
+use nssd_ftl::{GcPlanSpec, GcPolicy, VictimSpec};
 use nssd_sim::SimTime;
 use nssd_workloads::{PaperWorkload, SyntheticPattern, SyntheticSpec};
 
@@ -108,7 +108,7 @@ pub fn abl_gc_group_fraction() -> Experiment {
 }
 
 /// A3: greedy vs random victim selection.
-pub fn abl_victim_policy() -> Experiment {
+pub fn abl_victim_selection() -> Experiment {
     let requests = setup::gc_requests_per_run();
     let mut t = Table::new(vec![
         "victim policy".to_string(),
@@ -117,15 +117,18 @@ pub fn abl_victim_policy() -> Experiment {
         "write amplification".to_string(),
     ]);
     let policies = [
-        ("greedy", VictimPolicy::Greedy),
-        ("random", VictimPolicy::Random),
+        ("greedy", VictimSpec::Greedy),
+        ("random", VictimSpec::Random),
     ];
     let jobs: Vec<_> = policies
         .iter()
-        .map(|&(_, policy)| {
+        .map(|&(_, victim)| {
             move || {
                 let mut cfg = setup::gc_config(Architecture::PSsd, GcPolicy::Parallel);
-                cfg.gc.victim_policy = policy;
+                cfg.gc.plan = Some(GcPlanSpec {
+                    victim,
+                    ..GcPolicy::Parallel.plan()
+                });
                 let trace = PaperWorkload::Build0.generate(
                     requests,
                     setup::gc_footprint(&cfg),
@@ -342,7 +345,7 @@ pub fn all_ablations() -> Vec<crate::NamedExperiment> {
     vec![
         ("abl_a1", abl_ctrl_latency as fn() -> Experiment),
         ("abl_a2", abl_gc_group_fraction),
-        ("abl_a3", abl_victim_policy),
+        ("abl_a3", abl_victim_selection),
         ("abl_a4", abl_flash_generation),
         ("abl_a5", abl_omnibus_shapes),
         ("abl_a6", abl_ftl_compute),

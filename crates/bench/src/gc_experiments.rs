@@ -6,8 +6,7 @@ use nssd_core::{
     run_closed_loop_preconditioned, run_trace_preconditioned, Architecture, SimReport,
 };
 use nssd_ftl::{
-    GcPlanSpec, GcPolicy, PlacementSpec, PreemptionSpec, TriggerSpec, VictimSpec,
-    DEFAULT_WEAR_WEIGHT,
+    GcPlanSpec, GcPolicy, PlacementSpec, PreemptionSpec, VictimSpec, DEFAULT_WEAR_WEIGHT,
 };
 use nssd_workloads::{PaperWorkload, SyntheticPattern, SyntheticSpec};
 
@@ -245,9 +244,8 @@ pub fn fig20a_tail_latency() -> Experiment {
 }
 
 /// The full composed-plan grid: victim scorer × placement × preemption,
-/// every combination assembled from components (the watermark trigger is
-/// the only trigger family). Row one is the legacy PaGC tuple — the
-/// normalization baseline of [`plan_ablation`].
+/// every combination assembled from components. Row one is the PaGC
+/// tuple — the normalization baseline of [`plan_ablation`].
 pub fn plan_grid() -> Vec<GcPlanSpec> {
     let mut grid = Vec::new();
     for victim in [
@@ -264,7 +262,6 @@ pub fn plan_grid() -> Vec<GcPlanSpec> {
             for preemption in [PreemptionSpec::RunToCompletion, PreemptionSpec::YieldToIo] {
                 grid.push(GcPlanSpec {
                     victim,
-                    trigger: TriggerSpec::Watermark,
                     placement,
                     preemption,
                 });
@@ -300,7 +297,7 @@ pub fn plan_ablation_reports(requests: usize) -> Vec<(GcPlanSpec, SimReport)> {
 
 /// Composed-plan ablation: the victim × placement × preemption grid on
 /// pnSSD(+split), normalized to the greedy/unconstrained/run-to-completion
-/// tuple (legacy PaGC).
+/// tuple (PaGC).
 pub fn plan_ablation() -> Experiment {
     let mut t = Table::new(vec![
         "plan".to_string(),
@@ -334,8 +331,8 @@ pub fn plan_ablation() -> Experiment {
         tables: vec![(String::new(), t)],
         notes: vec![
             "victim × placement × preemption grid assembled from components; \
-             greedy-free-run is byte-identical to legacy PaGC, greedy-spatial-run to SpGC, \
-             greedy-free-yield to preemptive GC"
+             greedy-free-run is PaGC, greedy-spatial-run SpGC, \
+             greedy-free-yield preemptive GC"
                 .into(),
         ],
     }

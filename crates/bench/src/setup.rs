@@ -30,7 +30,7 @@ pub fn gc_requests_per_run() -> usize {
 /// geometry, PCWD allocation).
 pub fn io_config(arch: Architecture) -> SsdConfig {
     let mut cfg = SsdConfig::new(arch);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     cfg.seed = EXPERIMENT_SEED;
     cfg
 }
@@ -39,7 +39,7 @@ pub fn io_config(arch: Architecture) -> SsdConfig {
 /// so preconditioning is tractable).
 pub fn gc_config(arch: Architecture, policy: GcPolicy) -> SsdConfig {
     let mut cfg = SsdConfig::gc_scaled(arch);
-    cfg.gc.policy = policy;
+    cfg.gc.plan = Some(policy.plan());
     cfg.seed = EXPERIMENT_SEED;
     cfg
 }

@@ -5,7 +5,7 @@ use core::fmt;
 
 use nssd_faults::FaultConfig;
 use nssd_flash::{FlashTiming, Geometry};
-use nssd_ftl::{AllocPolicy, GcConfig, RedundancyConfig};
+use nssd_ftl::{AllocPolicy, GcConfig, PlacementSpec, RedundancyConfig};
 use nssd_host::HostParams;
 use nssd_interconnect::{BusParams, MeshParams};
 use nssd_sim::SimTime;
@@ -423,6 +423,13 @@ impl SsdConfig {
         if self.architecture.has_v_channels() && self.geometry.ways < 2 {
             return Err("Omnibus needs at least two ways".into());
         }
+        let spatial = self
+            .gc
+            .plan
+            .is_some_and(|p| p.placement == PlacementSpec::Spatial);
+        if spatial && self.geometry.ways < 2 {
+            return Err("spatial GC needs at least two ways".into());
+        }
         if self.util_window.is_zero() {
             return Err("utilization window must be nonzero".into());
         }
@@ -517,6 +524,18 @@ mod tests {
         let mut c = SsdConfig::new(Architecture::BaseSsd);
         c.channel_mts = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn spatial_gc_rejected_on_a_one_way_device() {
+        let mut c = SsdConfig::tiny(Architecture::BaseSsd);
+        c.geometry.ways = 1;
+        c.validate().unwrap();
+        c.gc.plan = Some(nssd_ftl::GcPolicy::Spatial.plan());
+        assert_eq!(
+            c.validate().unwrap_err(),
+            "spatial GC needs at least two ways"
+        );
     }
 
     #[test]

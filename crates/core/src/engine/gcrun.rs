@@ -5,12 +5,12 @@
 //! delegated to the [`super::FabricBackend`] (staged twice through the
 //! controller for bus architectures; once over a shared v-channel directly
 //! chip-to-chip for pnSSD; a direct mesh route for NoSSD), then tPROG at
-//! the destination, and finally the victim erase. The plan's components
-//! decide everything policy-like: the victim selector picks blocks, the
-//! trigger component arms/chains/forces events, the placement component
-//! constrains masks and routes relocation streams, and the preemption
-//! component chooses the dispatch discipline for the packet backlog. The
-//! fabric decides how bytes move.
+//! the destination, and finally the victim erase. The plan decides
+//! everything policy-like: its victim spec picks blocks (through the FTL),
+//! the placement component constrains masks and routes relocation streams,
+//! and the preemption component chooses the dispatch discipline for the
+//! packet backlog. The FTL's watermark predicates arm, chain and force
+//! events. The fabric decides how bytes move.
 
 use nssd_flash::{Pbn, Ppn};
 use nssd_ftl::{DispatchDiscipline, FtlError, GcConfig, GcPlan, GcPlanSpec, Lpn, WayMask};
@@ -141,15 +141,13 @@ impl GcRuntime {
 }
 
 impl SsdSim {
-    /// Checks the plan's trigger component and begins a GC event if
-    /// warranted.
+    /// Begins a GC event if GC is enabled and the trigger watermark has
+    /// been reached.
     pub(crate) fn maybe_start_gc(&mut self) {
-        let Some(plan) = self.gc.plan.as_ref() else {
-            return;
-        };
-        if self.gc.active
+        if !self.gc.enabled()
+            || self.gc.active
             || self.now < self.gc.starved_until
-            || !plan.trigger.should_trigger(&self.ftl)
+            || !self.ftl.needs_gc()
         {
             return;
         }
@@ -161,23 +159,9 @@ impl SsdSim {
         // write mask and returns the mask victims are selected from.
         let plan = self.gc.plan.as_mut().expect("GC enabled");
         let victim_mask = plan.placement.begin_event(&mut self.ftl);
-        self.ftl.note_gc_trigger();
-        let mut victims = plan.victim.select(
-            self.ftl.blocks(),
-            self.cfg.gc.victims_per_trigger as usize,
-            victim_mask,
-            &mut self.rng,
-        );
-        if let Some((dc, dw)) = self.ftl.dead_chip() {
-            // Dead-chip blocks look like attractive victims (lots of
-            // garbage) but their array is unreadable; the rebuild, not GC,
-            // drains them.
-            let g = self.cfg.geometry;
-            victims.retain(|&pbn| {
-                let a = g.block_addr(pbn);
-                a.channel != dc || a.way != dw
-            });
-        }
+        let victims = self
+            .ftl
+            .select_gc_victims(victim_mask, plan.spec.victim, &mut self.rng);
         if victims.is_empty() {
             if std::env::var("NSSD_GC_DEBUG").is_ok() {
                 eprintln!(
@@ -260,9 +244,8 @@ impl SsdSim {
     /// Paced dispatch (Lee et al., ISPASS'11): once triggered, GC makes
     /// progress in the *gaps* — a packet launches only when its source
     /// channel is idle right now, so foreground I/O keeps bus priority at
-    /// page-copy granularity. When the trigger component reports free
-    /// space critically low the yield is suspended and GC proceeds
-    /// unconditionally.
+    /// page-copy granularity. When free space is critically low the yield
+    /// is suspended and GC proceeds unconditionally.
     pub(crate) fn gc_pump(&mut self) {
         self.gc.pump_scheduled = false;
         let Some((batch, poll)) = self.gc.paced_params() else {
@@ -270,10 +253,7 @@ impl SsdSim {
             self.maybe_start_gc();
             return;
         };
-        let forced = {
-            let plan = self.gc.plan.as_ref().expect("GC enabled");
-            plan.trigger.is_critical(&self.ftl)
-        };
+        let forced = self.ftl.critically_low();
         while self.gc.next_copy < self.gc.copies.len() && self.gc.outstanding < batch {
             let c = self.gc.next_copy;
             if forced || self.gc_source_idle(c) {
@@ -528,7 +508,7 @@ impl SsdSim {
         plan.placement.end_event(&mut self.ftl);
         // Hysteresis: chain events until the stop watermark recovers, so GC
         // runs in bounded phases with quiet periods in between.
-        if self.now >= self.gc.starved_until && plan.trigger.should_continue(&self.ftl) {
+        if self.now >= self.gc.starved_until && self.ftl.below_stop_watermark() {
             self.start_gc();
         }
     }

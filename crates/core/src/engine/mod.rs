@@ -1427,7 +1427,7 @@ mod tests {
     #[test]
     fn slot_pools_stay_bounded_across_a_run() {
         let mut cfg = SsdConfig::tiny(crate::Architecture::BaseSsd);
-        cfg.gc.policy = nssd_ftl::GcPolicy::None;
+        cfg.gc.plan = None;
         cfg.seed = 42;
         let page = cfg.geometry.page_bytes;
         let mut sim = SsdSim::new(cfg).unwrap();

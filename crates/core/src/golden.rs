@@ -52,8 +52,6 @@ impl TenantScenario {
 pub struct GoldenCase {
     /// Architecture simulated.
     pub architecture: Architecture,
-    /// GC policy (with [`GcPolicy::None`] the device is not preconditioned).
-    pub gc_policy: GcPolicy,
     /// Workload driving the run (ignored when `tenants` is set).
     pub workload: PaperWorkload,
     /// Trace and simulator seed.
@@ -63,8 +61,8 @@ pub struct GoldenCase {
     /// When set, the case runs this multi-tenant scenario through the
     /// submission frontend instead of a single open-loop workload.
     pub tenants: Option<TenantScenario>,
-    /// When set, overrides `gc_policy` with an explicit composed GC plan
-    /// (the plan's slug replaces the policy slug in the file name).
+    /// The GC plan; with `None` GC is off and the device is not
+    /// preconditioned.
     pub plan: Option<GcPlanSpec>,
     /// When set, enables parity redundancy of this stripe width *and*
     /// schedules a fail-stop failure of chip (0, 0) mid-run, pinning the
@@ -85,14 +83,11 @@ impl GoldenCase {
             Architecture::NoSsdUnconstrained => "nossd",
         };
         let policy = match self.plan {
+            None => "nogc".to_string(),
+            Some(plan) if plan == GcPolicy::Parallel.plan() => "pagc".to_string(),
+            Some(plan) if plan == GcPolicy::Preemptive.plan() => "preempt".to_string(),
+            Some(plan) if plan == GcPolicy::Spatial.plan() => "spatial".to_string(),
             Some(plan) => format!("plan-{plan}"),
-            None => match self.gc_policy {
-                GcPolicy::None => "nogc",
-                GcPolicy::Parallel => "pagc",
-                GcPolicy::Preemptive => "preempt",
-                GcPolicy::Spatial => "spatial",
-            }
-            .to_string(),
         };
         let workload: String = match self.tenants {
             Some(scenario) => scenario.slug().to_string(),
@@ -120,7 +115,6 @@ impl GoldenCase {
     /// shadow oracle enabled, so every golden run is also an invariant run.
     pub fn config(&self) -> SsdConfig {
         let mut cfg = SsdConfig::tiny(self.architecture);
-        cfg.gc.policy = self.gc_policy;
         cfg.gc.plan = self.plan;
         cfg.gc.victims_per_trigger = 2;
         cfg.seed = self.seed;
@@ -165,7 +159,7 @@ impl GoldenCase {
             // 3/4 of logical space: inside the 0.85 preconditioned region,
             // split into per-tenant partitions by the mix.
             let streams = mix.generate(cfg.logical_bytes() * 3 / 4, self.seed);
-            return if self.gc_policy == GcPolicy::None {
+            return if self.plan.is_none() {
                 prepare_tenants(cfg, streams, SchedulerKind::WeightedFair, 8)
             } else {
                 prepare_tenants_preconditioned(
@@ -183,7 +177,7 @@ impl GoldenCase {
         let trace = self
             .workload
             .generate(self.requests, cfg.logical_bytes() / 2, self.seed);
-        if self.gc_policy == GcPolicy::None {
+        if self.plan.is_none() {
             prepare_trace(cfg, trace)
         } else {
             // GC cases start from a preconditioned (aged) device so the
@@ -212,7 +206,6 @@ pub fn matrix() -> Vec<GoldenCase> {
         for workload in [PaperWorkload::YcsbA, PaperWorkload::WebSearch0] {
             cases.push(GoldenCase {
                 architecture,
-                gc_policy: GcPolicy::None,
                 workload,
                 seed: 7,
                 requests: 120,
@@ -223,26 +216,24 @@ pub fn matrix() -> Vec<GoldenCase> {
         }
     }
     for architecture in [Architecture::BaseSsd, Architecture::PnSsd] {
-        for gc_policy in [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial] {
+        for policy in [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial] {
             cases.push(GoldenCase {
                 architecture,
-                gc_policy,
                 workload: PaperWorkload::YcsbA,
                 seed: 13,
                 requests: 120,
                 tenants: None,
-                plan: None,
+                plan: Some(policy.plan()),
                 redundancy: None,
             });
         }
     }
-    // Composed-plan sweep: the two plans with no legacy-policy equivalent —
+    // Composed-plan sweep: the two plans that are not paper presets —
     // hot/cold generational placement and wear-aware victim scoring — on the
     // paper's pnSSD over the same aged-device YCSB-A trace as the GC sweep.
     for plan in [GcPlanSpec::hot_cold(), GcPlanSpec::wear_aware()] {
         cases.push(GoldenCase {
             architecture: Architecture::PnSsd,
-            gc_policy: GcPolicy::Parallel,
             workload: PaperWorkload::YcsbA,
             seed: 13,
             requests: 120,
@@ -261,12 +252,11 @@ pub fn matrix() -> Vec<GoldenCase> {
     ] {
         cases.push(GoldenCase {
             architecture,
-            gc_policy: GcPolicy::Parallel,
             workload: PaperWorkload::YcsbA, // unused: the scenario drives it
             seed: 21,
             requests: 60,
             tenants: Some(TenantScenario::InterferenceWfq),
-            plan: None,
+            plan: Some(GcPolicy::Parallel.plan()),
             redundancy: None,
         });
     }
@@ -277,7 +267,6 @@ pub fn matrix() -> Vec<GoldenCase> {
     for architecture in [Architecture::BaseSsd, Architecture::PnSsd] {
         cases.push(GoldenCase {
             architecture,
-            gc_policy: GcPolicy::None,
             workload: PaperWorkload::YcsbA,
             seed: 29,
             requests: 120,

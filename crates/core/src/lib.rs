@@ -67,7 +67,7 @@ mod tests {
     /// Tiny config with GC disabled, for pure interconnect studies.
     fn io_cfg(arch: Architecture) -> SsdConfig {
         let mut cfg = SsdConfig::tiny(arch);
-        cfg.gc.policy = GcPolicy::None;
+        cfg.gc.plan = None;
         cfg
     }
 
@@ -197,7 +197,7 @@ mod tests {
     fn gc_triggers_under_write_pressure() {
         for policy in [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial] {
             let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
-            cfg.gc.policy = policy;
+            cfg.gc.plan = Some(policy.plan());
             cfg.gc.victims_per_trigger = 2;
             let spec = SyntheticSpec {
                 pattern: SyntheticPattern::RandomWrite,
@@ -222,9 +222,9 @@ mod tests {
         // host, so overall latency under GC must beat PaGC. This needs the
         // full 8×8 topology (the tiny 2-way geometry cannot split groups
         // meaningfully), so it uses the GC-scaled configuration.
-        let mk = |policy| {
+        let mk = |policy: GcPolicy| {
             let mut cfg = SsdConfig::gc_scaled(Architecture::PnSsdSplit);
-            cfg.gc.policy = policy;
+            cfg.gc.plan = Some(policy.plan());
             cfg
         };
         let cfg = mk(GcPolicy::Parallel);
@@ -269,7 +269,7 @@ mod tests {
     #[test]
     fn channel_sliced_supports_spatial_gc_f2f() {
         let mut cfg = SsdConfig::tiny(Architecture::ChannelSliced);
-        cfg.gc.policy = GcPolicy::Spatial;
+        cfg.gc.plan = Some(GcPolicy::Spatial.plan());
         let trace = PaperWorkload::Build0.generate(300, cfg.logical_bytes() / 2, 16);
         let report = run_trace_preconditioned(cfg, &trace, 0.85, 0.3).unwrap();
         assert_eq!(report.completed, 300);
@@ -348,7 +348,7 @@ mod tests {
     fn strict_ecc_disables_f2f_and_slows_spatial_gc() {
         let mk = |ecc: EccConfig| {
             let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
-            cfg.gc.policy = GcPolicy::Spatial;
+            cfg.gc.plan = Some(GcPolicy::Spatial.plan());
             cfg.ecc = ecc;
             cfg
         };
@@ -434,7 +434,7 @@ mod proptests {
             let arch_idx = rng.gen_range(0..7usize);
             let arch = Architecture::with_strawmen()[arch_idx];
             let mut cfg = SsdConfig::tiny(arch);
-            cfg.gc.policy = GcPolicy::None;
+            cfg.gc.plan = None;
             let page = cfg.geometry.page_bytes as u64;
             let logical_pages = cfg.logical_bytes() / page;
             let mut t = Trace::new("prop");
@@ -473,7 +473,7 @@ mod proptests {
         for _ in 0..CASES {
             let seed = rng.gen_range(0..64u64);
             let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
-            cfg.gc.policy = GcPolicy::Spatial;
+            cfg.gc.plan = Some(GcPolicy::Spatial.plan());
             cfg.seed = seed;
             let trace =
                 nssd_workloads::PaperWorkload::Build0.generate(150, cfg.logical_bytes() / 2, seed);

@@ -13,7 +13,7 @@ use nssd_sim::{CkptError, CkptReader, CkptWriter, Rng};
 
 use crate::{
     select_victims, AllocPolicy, BlockState, BlockTable, FtlAudit, GcConfig, Lpn, MappingTable,
-    OutOfSpace, PageAllocator, PlacementSpec, RedundancyConfig, WayMask,
+    OutOfSpace, PageAllocator, PlacementSpec, RedundancyConfig, VictimSpec, WayMask,
 };
 
 /// FTL configuration.
@@ -286,7 +286,7 @@ impl Ftl {
         let cold_alloc = PageAllocator::new(&geometry, AllocPolicy::Cwdp);
         let generational = config
             .gc
-            .effective_plan()
+            .plan
             .is_some_and(|p| p.placement == PlacementSpec::HotCold);
         let reloc_gen = if generational {
             vec![0u8; logical_pages as usize]
@@ -348,6 +348,12 @@ impl Ftl {
     /// Whether the GC trigger watermark has been reached.
     pub fn needs_gc(&self) -> bool {
         self.free_ratio() <= self.config.gc.trigger_free_ratio
+    }
+
+    /// Whether free space is still below the stop watermark, so a finished
+    /// GC event chains straight into the next one (hysteresis).
+    pub fn below_stop_watermark(&self) -> bool {
+        self.free_ratio() < self.config.gc.stop_free_ratio
     }
 
     /// Whether free space is critically low (preemptive GC must stop
@@ -536,22 +542,21 @@ impl Ftl {
         self.reloc_gen.get(lpn.raw() as usize).copied().unwrap_or(0)
     }
 
-    /// Counts one GC trigger event (the engine's plan performs its own
-    /// victim selection).
-    pub fn note_gc_trigger(&mut self) {
+    /// Selects victim blocks for one GC trigger with `victim`, restricted
+    /// to `mask` (pass `WayMask::all` for non-spatial placements), and
+    /// counts the trigger.
+    pub fn select_gc_victims<R: Rng>(
+        &mut self,
+        mask: WayMask,
+        victim: VictimSpec,
+        rng: &mut R,
+    ) -> Vec<Pbn> {
         self.stats.gc_triggers += 1;
-    }
-
-    /// Selects victim blocks for one GC trigger, restricted to `mask`
-    /// (pass `WayMask::all` for non-spatial policies), and counts the
-    /// trigger.
-    pub fn select_gc_victims<R: Rng>(&mut self, mask: WayMask, rng: &mut R) -> Vec<Pbn> {
-        self.note_gc_trigger();
         let mut victims = select_victims(
             &self.blocks,
             self.config.gc.victims_per_trigger as usize,
             mask,
-            self.config.gc.victim_policy,
+            victim,
             rng,
         );
         if let Some((dc, dw)) = self.dead_chip {
@@ -690,8 +695,17 @@ impl Ftl {
         on_erase: &mut dyn FnMut(Pbn),
     ) -> Result<(), FtlError> {
         let all = WayMask::all(self.geometry.ways);
+        // Untimed reclamation selects greedily unless the plan's victim is
+        // Random or CostBenefit. Those are victim ablations, so the device
+        // is aged by the selector under study. A wear-aware plan is instead
+        // judged against PaGC from the same greedily aged device: its
+        // timed run alone differs (the `plan-wearaware` golden pins this).
+        let victim = match self.config.gc.plan.map(|p| p.victim) {
+            Some(v @ (VictimSpec::Random | VictimSpec::CostBenefit)) => v,
+            _ => VictimSpec::Greedy,
+        };
         while self.needs_gc() {
-            let victims = self.select_gc_victims(all, rng);
+            let victims = self.select_gc_victims(all, victim, rng);
             if victims.is_empty() {
                 // Nothing reclaimable: every full block is fully valid.
                 // Yield rather than fail — open blocks may still have room.
@@ -1111,6 +1125,7 @@ impl Ftl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GcPlanSpec, GcPolicy};
     use nssd_flash::Geometry;
     use nssd_sim::DetRng;
 
@@ -1177,6 +1192,31 @@ mod tests {
         for l in 0..ftl.logical_pages() {
             assert!(ftl.lookup(Lpn::new(l)).is_some(), "lost lpn{l}");
         }
+    }
+
+    #[test]
+    fn preconditioning_selects_greedily_for_wear_aware_plans() {
+        let aged = |plan: GcPlanSpec| {
+            let mut cfg = FtlConfig::evaluation_defaults();
+            cfg.geometry = Geometry::tiny();
+            cfg.gc.victims_per_trigger = 2;
+            cfg.gc.plan = Some(plan);
+            let mut ftl = Ftl::new(cfg).unwrap();
+            ftl.precondition(0.9, 0.5, &mut DetRng::seed_from_u64(5))
+                .unwrap();
+            let mut w = CkptWriter::new();
+            ftl.ckpt_save(&mut w);
+            w.into_bytes()
+        };
+        let pagc = aged(GcPolicy::Parallel.plan());
+        assert_eq!(aged(GcPlanSpec::wear_aware()), pagc);
+        // The bytes do see the victim choice: a random-victim plan ages
+        // the device with its own selector.
+        let random = GcPlanSpec {
+            victim: VictimSpec::Random,
+            ..GcPolicy::Parallel.plan()
+        };
+        assert_ne!(aged(random), pagc);
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! Garbage-collection policies and configuration.
+//! Garbage-collection configuration.
 //!
-//! Three reclamation policies from the paper's evaluation (§VII-C):
+//! Which collector runs is exactly one [`GcPlanSpec`] (or none: GC off).
+//! The paper's evaluation (§VII-C) compares three of them, named by
+//! [`GcPolicy`]:
 //!
 //! * [`GcPolicy::Parallel`] — PaGC (Shahidi et al., SC'16): all chips
 //!   reclaim concurrently; foreground I/O queues behind GC traffic.
@@ -16,13 +18,11 @@ use core::fmt;
 
 use nssd_sim::{CkptError, CkptReader, CkptWriter};
 
-use crate::{GcPlanSpec, VictimPolicy, WayMask};
+use crate::{GcPlanSpec, PlacementSpec, PreemptionSpec, VictimSpec, WayMask};
 
-/// Which garbage-collection policy the FTL runs.
+/// The paper's three evaluated collectors, as names for their plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GcPolicy {
-    /// GC disabled (for the no-GC I/O experiments, Figs 14–17).
-    None,
     /// Parallel GC (PaGC), the paper's baseline.
     Parallel,
     /// Semi-preemptive GC.
@@ -31,10 +31,28 @@ pub enum GcPolicy {
     Spatial,
 }
 
+impl GcPolicy {
+    /// The component tuple this collector is, with greedy victims.
+    pub fn plan(self) -> GcPlanSpec {
+        let (placement, preemption) = match self {
+            GcPolicy::Parallel => (
+                PlacementSpec::Unconstrained,
+                PreemptionSpec::RunToCompletion,
+            ),
+            GcPolicy::Preemptive => (PlacementSpec::Unconstrained, PreemptionSpec::YieldToIo),
+            GcPolicy::Spatial => (PlacementSpec::Spatial, PreemptionSpec::RunToCompletion),
+        };
+        GcPlanSpec {
+            victim: VictimSpec::Greedy,
+            placement,
+            preemption,
+        }
+    }
+}
+
 impl fmt::Display for GcPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            GcPolicy::None => "no-GC",
             GcPolicy::Parallel => "PaGC",
             GcPolicy::Preemptive => "preemptive",
             GcPolicy::Spatial => "SpGC",
@@ -46,8 +64,6 @@ impl fmt::Display for GcPolicy {
 /// Garbage-collection tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GcConfig {
-    /// Reclamation policy.
-    pub policy: GcPolicy,
     /// Start GC when the free-block ratio drops to this value.
     pub trigger_free_ratio: f64,
     /// Keep chaining GC events until the free-block ratio recovers to this
@@ -61,44 +77,23 @@ pub struct GcConfig {
     pub gc_group_fraction: f64,
     /// Below this free ratio, preemptive GC stops yielding to I/O.
     pub hard_free_ratio: f64,
-    /// Victim-selection policy.
-    pub victim_policy: VictimPolicy,
-    /// Explicit component-level GC plan. When set it overrides `policy` —
-    /// the collector runs exactly these components; when `None` the legacy
-    /// `policy`/`victim_policy` pair decomposes into its equivalent plan
-    /// via [`GcPlanSpec::from_policy`].
+    /// The collector: one component per axis. `None` disables timed GC
+    /// (the no-GC I/O experiments, Figs 14–17).
     pub plan: Option<GcPlanSpec>,
 }
 
 impl GcConfig {
-    /// The evaluation defaults: greedy victims, trigger at 10% free blocks,
-    /// 8 victims per event, half/half spatial groups, 2.5% hard watermark.
+    /// The evaluation defaults: PaGC with greedy victims, trigger at 10%
+    /// free blocks, 8 victims per event, half/half spatial groups, 2.5% hard
+    /// watermark.
     pub fn evaluation_defaults() -> Self {
         GcConfig {
-            policy: GcPolicy::Parallel,
             trigger_free_ratio: 0.10,
             stop_free_ratio: 0.105,
             victims_per_trigger: 8,
             gc_group_fraction: 0.5,
             hard_free_ratio: 0.025,
-            victim_policy: VictimPolicy::Greedy,
-            plan: None,
-        }
-    }
-
-    /// The plan the collector actually runs: the explicit [`GcConfig::plan`]
-    /// when set, otherwise the decomposition of the legacy policy pair.
-    /// `None` means GC is disabled.
-    pub fn effective_plan(&self) -> Option<GcPlanSpec> {
-        self.plan
-            .or_else(|| GcPlanSpec::from_policy(self.policy, self.victim_policy))
-    }
-
-    /// Same defaults with a different policy.
-    pub fn with_policy(policy: GcPolicy) -> Self {
-        GcConfig {
-            policy,
-            ..GcConfig::evaluation_defaults()
+            plan: Some(GcPolicy::Parallel.plan()),
         }
     }
 
@@ -244,7 +239,9 @@ mod tests {
     #[test]
     fn defaults_validate() {
         GcConfig::evaluation_defaults().validate().unwrap();
-        GcConfig::with_policy(GcPolicy::Spatial).validate().unwrap();
+        let mut c = GcConfig::evaluation_defaults();
+        c.plan = Some(GcPolicy::Spatial.plan());
+        c.validate().unwrap();
     }
 
     #[test]
@@ -274,21 +271,6 @@ mod tests {
         assert!(c.validate().is_err());
         c.stop_free_ratio = c.trigger_free_ratio + 0.001;
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn effective_plan_resolves_policy_and_override() {
-        let c = GcConfig::evaluation_defaults();
-        let spec = c.effective_plan().unwrap();
-        assert_eq!(
-            Some(spec),
-            GcPlanSpec::from_policy(GcPolicy::Parallel, VictimPolicy::Greedy)
-        );
-        let mut c = GcConfig::with_policy(GcPolicy::None);
-        assert_eq!(c.effective_plan(), None);
-        // An explicit plan overrides the legacy policy, even `None`.
-        c.plan = Some(GcPlanSpec::hot_cold());
-        assert_eq!(c.effective_plan(), Some(GcPlanSpec::hot_cold()));
     }
 
     #[test]
@@ -327,6 +309,20 @@ mod tests {
         assert_eq!(g.gc_ways().count(), 1);
         let g = SpatialGroups::new(4, 0.99);
         assert_eq!(g.gc_ways().count(), 3);
+    }
+
+    #[test]
+    fn presets_name_their_component_tuples() {
+        let slugs =
+            [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial].map(|p| p.plan().slug());
+        assert_eq!(
+            slugs,
+            ["greedy-free-run", "greedy-free-yield", "greedy-spatial-run"]
+        );
+        assert_eq!(
+            GcConfig::evaluation_defaults().plan,
+            Some(GcPolicy::Parallel.plan())
+        );
     }
 
     #[test]

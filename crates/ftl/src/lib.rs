@@ -9,12 +9,13 @@
 //! * [`PageAllocator`] — striping write allocation with the paper's
 //!   [`AllocPolicy::Pcwd`]/[`AllocPolicy::Pwcd`] schemes and the
 //!   [`WayMask`] restriction spatial GC uses to confine user writes.
-//! * [`select_victims`] — greedy (and random) victim selection.
-//! * [`GcConfig`]/[`GcPolicy`]/[`SpatialGroups`] — the three evaluated
-//!   reclamation policies and the I/O-vs-GC group bookkeeping of Fig 12.
-//! * [`GcPlan`]/[`GcPlanSpec`] — the component decomposition the engine
-//!   actually runs: every policy is a (victim, trigger, placement,
-//!   preemption) tuple, and new collectors are component swaps.
+//! * [`select_victims`] — greedy, random, cost-benefit and wear-aware
+//!   victim selection ([`VictimSpec`]).
+//! * [`GcConfig`]/[`SpatialGroups`] — watermarks, the configured plan, and
+//!   the I/O-vs-GC group bookkeeping of Fig 12.
+//! * [`GcPlan`]/[`GcPlanSpec`] — the collector the engine runs: a (victim,
+//!   placement, preemption) tuple, so new collectors are component swaps.
+//!   [`GcPolicy`] names the paper's three evaluated tuples.
 //! * [`Ftl`] — the facade combining all of the above, plus instant-GC
 //!   preconditioning for experiments.
 //! * [`FtlAudit`] — the structural audit: a full sweep, or an incremental
@@ -25,7 +26,7 @@
 //! use nssd_ftl::{Ftl, FtlConfig, GcPlan, GcPolicy, Lpn};
 //!
 //! let mut cfg = FtlConfig::evaluation_defaults();
-//! cfg.gc.policy = GcPolicy::Spatial;
+//! cfg.gc.plan = Some(GcPolicy::Spatial.plan());
 //! let mut ftl = Ftl::new(cfg)?;
 //!
 //! // SpGC decomposes into a plan whose placement component confines user
@@ -63,12 +64,11 @@ pub use gc::{GcConfig, GcPolicy, SpatialGroups};
 pub use mapping::{Lpn, MappingTable};
 pub use plan::{
     DispatchDiscipline, GcPlan, GcPlanSpec, HotColdPlacement, PlacementPolicy, PlacementSpec,
-    PolicyVictims, PreemptionPolicy, PreemptionSpec, RunToCompletion, SpatialPlacement,
-    TriggerPolicy, TriggerSpec, UnconstrainedPlacement, VictimSelector, VictimSpec,
-    WatermarkTrigger, WearAwareVictims, YieldToIo, DEFAULT_WEAR_WEIGHT, VALID_PAGE_WEIGHT,
+    PreemptionPolicy, PreemptionSpec, RunToCompletion, SpatialPlacement, UnconstrainedPlacement,
+    YieldToIo,
 };
 pub use redundancy::RedundancyConfig;
-pub use victim::{select_victims, VictimPolicy};
+pub use victim::{select_victims, VictimSpec, DEFAULT_WEAR_WEIGHT, VALID_PAGE_WEIGHT};
 
 #[cfg(test)]
 const CASES: usize = if cfg!(feature = "heavy-tests") {

@@ -1,90 +1,43 @@
 //! Composable garbage-collection plans.
 //!
 //! The three evaluated policies (PaGC, semi-preemptive, SpGC) are not
-//! monoliths — each is a particular combination of four orthogonal choices,
-//! in the style of MMTk's plan/policy decomposition:
+//! monoliths — each is a particular combination of three orthogonal
+//! choices, in the style of MMTk's plan/policy decomposition:
 //!
-//! * **victim selection** ([`VictimSelector`]) — which full blocks to
-//!   reclaim;
-//! * **triggering** ([`TriggerPolicy`]) — when to start, keep chaining, and
-//!   force GC;
+//! * **victim selection** ([`VictimSpec`]) — which full blocks to reclaim;
 //! * **placement** ([`PlacementPolicy`]) — where user writes and GC copies
 //!   may land while an event runs;
 //! * **preemption** ([`PreemptionPolicy`]) — how the copy backlog is
 //!   dispatched against foreground I/O.
 //!
-//! A [`GcPlan`] is one component per axis, assembled from a declarative
-//! [`GcPlanSpec`]. The legacy [`GcPolicy`](crate::GcPolicy) values map onto
-//! component tuples via [`GcPlanSpec::from_policy`]:
+//! When GC starts, chains and is forced is not a component: every plan
+//! uses the [`GcConfig`] watermarks through [`Ftl::needs_gc`],
+//! [`Ftl::below_stop_watermark`] and [`Ftl::critically_low`].
 //!
-//! | policy | victim | trigger | placement | preemption |
-//! |---|---|---|---|---|
-//! | PaGC | configured | watermark | unconstrained | run-to-completion |
-//! | preemptive | configured | watermark | unconstrained | yield-to-I/O |
-//! | SpGC | configured | watermark | spatial | run-to-completion |
+//! A [`GcPlan`] assembles the placement and preemption components from a
+//! declarative [`GcPlanSpec`]; victim selection is data the FTL interprets
+//! directly. The paper's collectors are named by
+//! [`GcPolicy::plan`](crate::GcPolicy::plan):
 //!
-//! Beyond reassembling the legacy policies, the decomposition adds two new
-//! components: [`WearAwareVictims`] (victim scoring that folds per-block
-//! erase counts into the greedy cost) and [`HotColdPlacement`]
-//! (generational separation — pages that keep surviving GC are routed to a
-//! dedicated cold relocation stream).
+//! | policy | victim | placement | preemption |
+//! |---|---|---|---|
+//! | PaGC | greedy | unconstrained | run-to-completion |
+//! | preemptive | greedy | unconstrained | yield-to-I/O |
+//! | SpGC | greedy | spatial | run-to-completion |
+//!
+//! Beyond the paper's collectors, the decomposition adds two components:
+//! [`VictimSpec::WearAware`] (victim scoring that folds per-block erase
+//! counts into the greedy cost) and [`HotColdPlacement`] (generational
+//! separation — pages that keep surviving GC are routed to a dedicated cold
+//! relocation stream).
 
 use core::fmt;
 
-use nssd_flash::Pbn;
-use nssd_sim::{CkptError, CkptReader, CkptWriter, DetRng, SimTime};
+use nssd_sim::{CkptError, CkptReader, CkptWriter, SimTime};
 
 use crate::{
-    select_victims, BlockTable, Ftl, GcConfig, GcPolicy, GcStream, Lpn, SpatialGroups,
-    VictimPolicy, WayMask,
+    Ftl, GcConfig, GcStream, Lpn, SpatialGroups, VictimSpec, WayMask, DEFAULT_WEAR_WEIGHT,
 };
-
-/// Declarative victim-selection choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VictimSpec {
-    /// Minimum-valid-count ("greedy"), the paper's baseline.
-    Greedy,
-    /// Uniform random over eligible blocks (ablation).
-    Random,
-    /// Cost-benefit (Rosenblum & Ousterhout).
-    CostBenefit,
-    /// Greedy extended with a wear term over per-block erase counts; see
-    /// [`WearAwareVictims`].
-    WearAware {
-        /// Weight of one erase cycle relative to [`VALID_PAGE_WEIGHT`]
-        /// units of copy cost.
-        wear_weight: u32,
-    },
-}
-
-impl VictimSpec {
-    /// Maps a legacy [`VictimPolicy`] onto its spec.
-    pub fn from_policy(policy: VictimPolicy) -> Self {
-        match policy {
-            VictimPolicy::Greedy => VictimSpec::Greedy,
-            VictimPolicy::Random => VictimSpec::Random,
-            VictimPolicy::CostBenefit => VictimSpec::CostBenefit,
-        }
-    }
-
-    fn slug(&self) -> &'static str {
-        match self {
-            VictimSpec::Greedy => "greedy",
-            VictimSpec::Random => "random",
-            VictimSpec::CostBenefit => "costbenefit",
-            VictimSpec::WearAware { .. } => "wearaware",
-        }
-    }
-}
-
-/// Declarative trigger choice. A single watermark family exists today; the
-/// axis is kept explicit so per-tenant or rate-based triggers slot in
-/// without touching the dispatch code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TriggerSpec {
-    /// Trigger/stop/hard free-ratio watermarks from [`GcConfig`].
-    Watermark,
-}
 
 /// Declarative placement choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,8 +66,6 @@ pub enum PreemptionSpec {
 pub struct GcPlanSpec {
     /// Victim selection.
     pub victim: VictimSpec,
-    /// Trigger policy.
-    pub trigger: TriggerSpec,
     /// Placement policy.
     pub placement: PlacementSpec,
     /// Preemption policy.
@@ -122,32 +73,10 @@ pub struct GcPlanSpec {
 }
 
 impl GcPlanSpec {
-    /// The component tuple a legacy [`GcPolicy`] decomposes into, or `None`
-    /// for [`GcPolicy::None`] (GC disabled is the absence of a plan).
-    pub fn from_policy(policy: GcPolicy, victim_policy: VictimPolicy) -> Option<Self> {
-        let victim = VictimSpec::from_policy(victim_policy);
-        let (placement, preemption) = match policy {
-            GcPolicy::None => return None,
-            GcPolicy::Parallel => (
-                PlacementSpec::Unconstrained,
-                PreemptionSpec::RunToCompletion,
-            ),
-            GcPolicy::Preemptive => (PlacementSpec::Unconstrained, PreemptionSpec::YieldToIo),
-            GcPolicy::Spatial => (PlacementSpec::Spatial, PreemptionSpec::RunToCompletion),
-        };
-        Some(GcPlanSpec {
-            victim,
-            trigger: TriggerSpec::Watermark,
-            placement,
-            preemption,
-        })
-    }
-
     /// The hot/cold (generational) separation plan.
     pub fn hot_cold() -> Self {
         GcPlanSpec {
             victim: VictimSpec::Greedy,
-            trigger: TriggerSpec::Watermark,
             placement: PlacementSpec::HotCold,
             preemption: PreemptionSpec::RunToCompletion,
         }
@@ -159,7 +88,6 @@ impl GcPlanSpec {
             victim: VictimSpec::WearAware {
                 wear_weight: DEFAULT_WEAR_WEIGHT,
             },
-            trigger: TriggerSpec::Watermark,
             placement: PlacementSpec::Unconstrained,
             preemption: PreemptionSpec::RunToCompletion,
         }
@@ -194,15 +122,6 @@ impl fmt::Display for GcPlanSpec {
     }
 }
 
-/// Copy cost of one live page in victim-score units; the wear term of
-/// [`WearAwareVictims`] is weighed against this.
-pub const VALID_PAGE_WEIGHT: u64 = 8;
-
-/// Default `wear_weight` for [`GcPlanSpec::wear_aware`]: one erase cycle
-/// costs a quarter of a live-page copy, enough to steer selection off
-/// hot-worn blocks without drowning the reclamation yield.
-pub const DEFAULT_WEAR_WEIGHT: u32 = 2;
-
 /// How a plan's copy backlog is dispatched by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchDiscipline {
@@ -217,108 +136,6 @@ pub enum DispatchDiscipline {
         /// Re-poll interval while foreground traffic blocks the next copy.
         poll: SimTime,
     },
-}
-
-/// Picks victim blocks for one GC trigger.
-pub trait VictimSelector: fmt::Debug + Send {
-    /// Selects up to `n` victims within `mask`'s ways. Determinism
-    /// contract: for a given block-table state and RNG state the result is
-    /// fixed, and the RNG is drawn only as the equivalent legacy policy
-    /// would draw it.
-    fn select(&self, blocks: &BlockTable, n: usize, mask: WayMask, rng: &mut DetRng) -> Vec<Pbn>;
-}
-
-/// The legacy [`VictimPolicy`] family behind the [`VictimSelector`] trait.
-#[derive(Debug, Clone, Copy)]
-pub struct PolicyVictims(pub VictimPolicy);
-
-impl VictimSelector for PolicyVictims {
-    fn select(&self, blocks: &BlockTable, n: usize, mask: WayMask, rng: &mut DetRng) -> Vec<Pbn> {
-        select_victims(blocks, n, mask, self.0, rng)
-    }
-}
-
-/// Wear-aware victim scoring: greedy copy cost plus a wear term, so
-/// selection steers away from already-worn blocks and levels P/E cycles.
-///
-/// Score (lower is better): `valid_count × VALID_PAGE_WEIGHT +
-/// erase_count × wear_weight`, ties broken by block number. With
-/// `wear_weight = 0` this degenerates to greedy.
-#[derive(Debug, Clone, Copy)]
-pub struct WearAwareVictims {
-    /// Cost of one erase cycle in score units.
-    pub wear_weight: u32,
-}
-
-impl WearAwareVictims {
-    /// The score of one candidate block (lower reclaims first).
-    pub fn score(&self, blocks: &BlockTable, pbn: Pbn) -> u64 {
-        let meta = blocks.meta(pbn);
-        meta.valid_count() as u64 * VALID_PAGE_WEIGHT
-            + meta.erase_count() as u64 * self.wear_weight as u64
-    }
-}
-
-impl VictimSelector for WearAwareVictims {
-    fn select(&self, blocks: &BlockTable, n: usize, mask: WayMask, _rng: &mut DetRng) -> Vec<Pbn> {
-        let mut candidates: Vec<Pbn> = blocks
-            .iter()
-            .filter(|(pbn, _)| crate::victim::eligible(blocks, *pbn, mask))
-            .map(|(pbn, _)| pbn)
-            .collect();
-        candidates.sort_by_key(|&pbn| (self.score(blocks, pbn), pbn));
-        candidates.truncate(n);
-        candidates
-    }
-}
-
-/// Decides when a GC event starts, chains, or must force progress.
-pub trait TriggerPolicy: fmt::Debug + Send {
-    /// Whether a new GC event should begin.
-    fn should_trigger(&self, ftl: &Ftl) -> bool;
-    /// Whether a finished event should chain straight into the next one
-    /// (hysteresis: free space has not yet recovered to the stop mark).
-    fn should_continue(&self, ftl: &Ftl) -> bool;
-    /// Whether free space is critically low, so yielding disciplines must
-    /// stop yielding.
-    fn is_critical(&self, ftl: &Ftl) -> bool;
-}
-
-/// Free-ratio watermarks (trigger / stop / hard), lifted from [`GcConfig`].
-#[derive(Debug, Clone, Copy)]
-pub struct WatermarkTrigger {
-    /// Start GC at or below this free ratio.
-    pub trigger_free_ratio: f64,
-    /// Chain events until the free ratio recovers to this value.
-    pub stop_free_ratio: f64,
-    /// At or below this free ratio, GC progress is forced.
-    pub hard_free_ratio: f64,
-}
-
-impl WatermarkTrigger {
-    /// Lifts the watermark floats out of a [`GcConfig`].
-    pub fn from_config(cfg: &GcConfig) -> Self {
-        WatermarkTrigger {
-            trigger_free_ratio: cfg.trigger_free_ratio,
-            stop_free_ratio: cfg.stop_free_ratio,
-            hard_free_ratio: cfg.hard_free_ratio,
-        }
-    }
-}
-
-impl TriggerPolicy for WatermarkTrigger {
-    fn should_trigger(&self, ftl: &Ftl) -> bool {
-        ftl.free_ratio() <= self.trigger_free_ratio
-    }
-
-    fn should_continue(&self, ftl: &Ftl) -> bool {
-        ftl.free_ratio() < self.stop_free_ratio
-    }
-
-    fn is_critical(&self, ftl: &Ftl) -> bool {
-        ftl.free_ratio() <= self.hard_free_ratio
-            || ftl.blocks().free_blocks() <= ftl.gc_reserve_blocks() + 1
-    }
 }
 
 /// Controls where user writes and GC copies may land while a GC event is
@@ -388,11 +205,14 @@ pub struct SpatialPlacement {
 }
 
 impl SpatialPlacement {
-    /// Creates the placement for `total_ways` ways (clamped to at least 2,
-    /// as [`SpatialGroups`] requires) with `gc_fraction` of them in the GC
-    /// group.
+    /// Creates the placement for `total_ways` ways with `gc_fraction` of
+    /// them in the GC group.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `total_ways >= 2` (configuration validation rejects a
+    /// spatial plan on a one-way device).
     pub fn new(total_ways: u32, gc_fraction: f64) -> Self {
-        let total_ways = total_ways.max(2);
         SpatialPlacement {
             groups: SpatialGroups::new(total_ways, gc_fraction),
             active: None,
@@ -518,15 +338,12 @@ impl PreemptionPolicy for YieldToIo {
     }
 }
 
-/// An assembled GC plan: one boxed component per axis.
+/// An assembled GC plan: the spec plus its stateful components.
 #[derive(Debug)]
 pub struct GcPlan {
-    /// The spec this plan was assembled from.
+    /// The spec this plan was assembled from (its victim selection runs
+    /// through [`Ftl::select_gc_victims`]).
     pub spec: GcPlanSpec,
-    /// Victim selection.
-    pub victim: Box<dyn VictimSelector>,
-    /// Trigger policy.
-    pub trigger: Box<dyn TriggerPolicy>,
     /// Placement policy.
     pub placement: Box<dyn PlacementPolicy>,
     /// Preemption policy.
@@ -534,19 +351,9 @@ pub struct GcPlan {
 }
 
 impl GcPlan {
-    /// Assembles the plan `spec` describes, pulling tuning values
-    /// (watermarks, group fraction) from `cfg` and sizing spatial groups
-    /// for `total_ways`.
+    /// Assembles the plan `spec` describes, pulling the group fraction
+    /// from `cfg` and sizing spatial groups for `total_ways`.
     pub fn assemble(spec: GcPlanSpec, cfg: &GcConfig, total_ways: u32) -> Self {
-        let victim: Box<dyn VictimSelector> = match spec.victim {
-            VictimSpec::Greedy => Box::new(PolicyVictims(VictimPolicy::Greedy)),
-            VictimSpec::Random => Box::new(PolicyVictims(VictimPolicy::Random)),
-            VictimSpec::CostBenefit => Box::new(PolicyVictims(VictimPolicy::CostBenefit)),
-            VictimSpec::WearAware { wear_weight } => Box::new(WearAwareVictims { wear_weight }),
-        };
-        let trigger: Box<dyn TriggerPolicy> = match spec.trigger {
-            TriggerSpec::Watermark => Box::new(WatermarkTrigger::from_config(cfg)),
-        };
         let placement: Box<dyn PlacementPolicy> = match spec.placement {
             PlacementSpec::Unconstrained => Box::new(UnconstrainedPlacement),
             PlacementSpec::Spatial => {
@@ -560,8 +367,6 @@ impl GcPlan {
         };
         GcPlan {
             spec,
-            victim,
-            trigger,
             placement,
             preemption,
         }
@@ -569,8 +374,7 @@ impl GcPlan {
 
     /// Assembles the plan `cfg` calls for, or `None` when GC is disabled.
     pub fn from_config(cfg: &GcConfig, total_ways: u32) -> Option<Self> {
-        cfg.effective_plan()
-            .map(|spec| GcPlan::assemble(spec, cfg, total_ways))
+        cfg.plan.map(|spec| GcPlan::assemble(spec, cfg, total_ways))
     }
 
     /// The dispatch discipline of the preemption component.
@@ -582,9 +386,8 @@ impl GcPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AllocPolicy, FtlConfig, PageAllocator};
+    use crate::{FtlConfig, GcPolicy};
     use nssd_flash::Geometry;
-    use nssd_sim::DetRng;
 
     fn tiny_ftl() -> Ftl {
         let mut cfg = FtlConfig::evaluation_defaults();
@@ -593,122 +396,13 @@ mod tests {
         Ftl::new(cfg).unwrap()
     }
 
-    /// Fills some blocks and invalidates varying page counts.
-    fn build_fragmented() -> (Geometry, BlockTable) {
-        let g = Geometry::tiny();
-        let mut blocks = BlockTable::new(&g);
-        let mut alloc = PageAllocator::new(&g, AllocPolicy::Cwdp);
-        let mask = WayMask::all(g.ways);
-        let mut written = Vec::new();
-        for _ in 0..g.page_count() / 2 {
-            written.push(alloc.allocate(&mut blocks, mask).unwrap());
-        }
-        for (i, &ppn) in written.iter().enumerate() {
-            if i % 3 == 0 {
-                blocks.invalidate(ppn);
-            }
-        }
-        (g, blocks)
-    }
-
-    #[test]
-    fn legacy_policies_map_to_component_tuples() {
-        let pagc = GcPlanSpec::from_policy(GcPolicy::Parallel, VictimPolicy::Greedy).unwrap();
-        assert_eq!(pagc.placement, PlacementSpec::Unconstrained);
-        assert_eq!(pagc.preemption, PreemptionSpec::RunToCompletion);
-        let pre = GcPlanSpec::from_policy(GcPolicy::Preemptive, VictimPolicy::Random).unwrap();
-        assert_eq!(pre.victim, VictimSpec::Random);
-        assert_eq!(pre.preemption, PreemptionSpec::YieldToIo);
-        let sp = GcPlanSpec::from_policy(GcPolicy::Spatial, VictimPolicy::Greedy).unwrap();
-        assert_eq!(sp.placement, PlacementSpec::Spatial);
-        assert_eq!(
-            GcPlanSpec::from_policy(GcPolicy::None, VictimPolicy::Greedy),
-            None
-        );
-    }
-
     #[test]
     fn spec_slugs_are_distinct_and_stable() {
         assert_eq!(GcPlanSpec::hot_cold().slug(), "greedy-hotcold-run");
         assert_eq!(GcPlanSpec::wear_aware().slug(), "wearaware-free-run");
-        let pagc = GcPlanSpec::from_policy(GcPolicy::Parallel, VictimPolicy::Greedy).unwrap();
-        assert_eq!(pagc.slug(), "greedy-free-run");
         assert!(GcPlanSpec::hot_cold().tracks_wear());
         assert!(GcPlanSpec::wear_aware().tracks_wear());
-        assert!(!pagc.tracks_wear());
-    }
-
-    #[test]
-    fn policy_victims_match_legacy_selection() {
-        let (g, blocks) = build_fragmented();
-        let sel = PolicyVictims(VictimPolicy::Greedy);
-        let mut r1 = DetRng::seed_from_u64(1);
-        let mut r2 = DetRng::seed_from_u64(1);
-        let a = sel.select(&blocks, 3, WayMask::all(g.ways), &mut r1);
-        let b = select_victims(
-            &blocks,
-            3,
-            WayMask::all(g.ways),
-            VictimPolicy::Greedy,
-            &mut r2,
-        );
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn wear_aware_orders_by_valid_count_then_wear() {
-        let (g, mut blocks) = build_fragmented();
-        let all = WayMask::all(g.ways);
-        let mut rng = DetRng::seed_from_u64(3);
-        // With zero wear everywhere, wear-aware degenerates to greedy.
-        let wa = WearAwareVictims { wear_weight: 2 };
-        let greedy = select_victims(&blocks, 4, all, VictimPolicy::Greedy, &mut rng);
-        assert_eq!(wa.select(&blocks, 4, all, &mut rng), greedy);
-        // Now age the greedy favourite far past everyone else: cycle it
-        // through erase/refill until its wear term outweighs any
-        // valid-count advantage, so the wear term must demote it.
-        let favourite = greedy[0];
-        let unit = (favourite.raw() / g.blocks_per_plane as u64) as usize;
-        let cycles = g.pages_per_block as u64 * VALID_PAGE_WEIGHT / 2 + 1;
-        for _ in 0..cycles {
-            for p in blocks.valid_pages(favourite) {
-                blocks.invalidate(p);
-            }
-            blocks.erase(favourite);
-            let taken = blocks.take_free_block(unit).unwrap();
-            assert_eq!(taken, favourite, "free list is LIFO over the erase");
-            while blocks.program_next_page(favourite).is_some() {}
-        }
-        // Leave it some garbage so it stays eligible.
-        let one = blocks.valid_pages(favourite)[0];
-        blocks.invalidate(one);
-        let again = wa.select(&blocks, 4, all, &mut rng);
-        assert!(
-            !again.contains(&favourite),
-            "worn block {favourite} must rank below fresher candidates"
-        );
-        // And the scoring itself is monotone in wear.
-        let s = WearAwareVictims { wear_weight: 5 };
-        let low = s.score(&blocks, again[0]);
-        let high = s.score(&blocks, favourite);
-        assert!(high > low);
-    }
-
-    #[test]
-    fn watermark_trigger_matches_ftl_predicates() {
-        let mut ftl = tiny_ftl();
-        let trig = WatermarkTrigger::from_config(&ftl.config().gc);
-        let mut rng = DetRng::seed_from_u64(11);
-        assert_eq!(trig.should_trigger(&ftl), ftl.needs_gc());
-        assert_eq!(trig.is_critical(&ftl), ftl.critically_low());
-        ftl.precondition(0.9, 0.3, &mut rng).unwrap();
-        ftl.pressurize(ftl.logical_pages() * 9 / 10, &mut rng)
-            .unwrap();
-        assert!(trig.should_trigger(&ftl));
-        assert_eq!(trig.should_trigger(&ftl), ftl.needs_gc());
-        assert_eq!(trig.is_critical(&ftl), ftl.critically_low());
-        assert!(trig.should_continue(&ftl));
+        assert!(!GcPolicy::Parallel.plan().tracks_wear());
     }
 
     #[test]
@@ -821,9 +515,9 @@ mod tests {
     fn assemble_builds_every_component_family() {
         let cfg = GcConfig::evaluation_defaults();
         for spec in [
-            GcPlanSpec::from_policy(GcPolicy::Parallel, VictimPolicy::Greedy).unwrap(),
-            GcPlanSpec::from_policy(GcPolicy::Preemptive, VictimPolicy::CostBenefit).unwrap(),
-            GcPlanSpec::from_policy(GcPolicy::Spatial, VictimPolicy::Random).unwrap(),
+            GcPolicy::Parallel.plan(),
+            GcPolicy::Preemptive.plan(),
+            GcPolicy::Spatial.plan(),
             GcPlanSpec::hot_cold(),
             GcPlanSpec::wear_aware(),
         ] {
@@ -845,15 +539,14 @@ mod tests {
     }
 
     #[test]
-    fn from_config_resolves_policy_and_explicit_plan() {
+    fn from_config_assembles_the_configured_plan() {
         let mut cfg = GcConfig::evaluation_defaults();
-        cfg.policy = GcPolicy::None;
+        cfg.plan = None;
         assert!(GcPlan::from_config(&cfg, 8).is_none());
         cfg.plan = Some(GcPlanSpec::hot_cold());
         let plan = GcPlan::from_config(&cfg, 8).unwrap();
         assert_eq!(plan.spec.placement, PlacementSpec::HotCold);
-        cfg.plan = None;
-        cfg.policy = GcPolicy::Spatial;
+        cfg.plan = Some(GcPolicy::Spatial.plan());
         let plan = GcPlan::from_config(&cfg, 8).unwrap();
         assert_eq!(plan.spec.placement, PlacementSpec::Spatial);
     }

@@ -1,17 +1,19 @@
 //! Garbage-collection victim selection.
 //!
 //! The paper's baseline uses greedy selection — the full block with the
-//! fewest valid pages (§VII-A). A uniform-random policy is included as an
-//! ablation point.
+//! fewest valid pages (§VII-A). Uniform-random and cost-benefit selection
+//! are ablation points; wear-aware scoring folds per-block erase counts
+//! into the greedy cost.
 
 use nssd_flash::Pbn;
 use nssd_sim::Rng;
 
 use crate::{BlockState, BlockTable, WayMask};
 
-/// Victim-block selection policy.
+/// Victim-block selection: the victim axis of a
+/// [`GcPlanSpec`](crate::GcPlanSpec).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VictimPolicy {
+pub enum VictimSpec {
     /// Minimum-valid-count ("greedy"), the paper's baseline.
     Greedy,
     /// Uniform random over eligible blocks (ablation).
@@ -19,11 +21,47 @@ pub enum VictimPolicy {
     /// Cost-benefit (Rosenblum & Ousterhout): maximize
     /// `(1 - u) / (2u) × age`, preferring cold, mostly-invalid blocks.
     CostBenefit,
+    /// Greedy copy cost plus a wear term, so selection steers away from
+    /// already-worn blocks and levels P/E cycles. Score (lower reclaims
+    /// first): `valid_count × VALID_PAGE_WEIGHT + erase_count ×
+    /// wear_weight`, ties broken by block number. With `wear_weight = 0`
+    /// this degenerates to greedy.
+    WearAware {
+        /// Weight of one erase cycle relative to [`VALID_PAGE_WEIGHT`]
+        /// units of copy cost.
+        wear_weight: u32,
+    },
+}
+
+impl VictimSpec {
+    pub(crate) fn slug(&self) -> &'static str {
+        match self {
+            VictimSpec::Greedy => "greedy",
+            VictimSpec::Random => "random",
+            VictimSpec::CostBenefit => "costbenefit",
+            VictimSpec::WearAware { .. } => "wearaware",
+        }
+    }
+}
+
+/// Copy cost of one live page in victim-score units; the wear term of
+/// [`VictimSpec::WearAware`] is weighed against this.
+pub const VALID_PAGE_WEIGHT: u64 = 8;
+
+/// Default `wear_weight` for [`GcPlanSpec::wear_aware`](crate::GcPlanSpec::wear_aware):
+/// one erase cycle costs a quarter of a live-page copy, enough to steer
+/// selection off hot-worn blocks without drowning the reclamation yield.
+pub const DEFAULT_WEAR_WEIGHT: u32 = 2;
+
+/// The wear-aware score of one candidate block (lower reclaims first).
+fn wear_score(blocks: &BlockTable, pbn: Pbn, wear_weight: u32) -> u64 {
+    let meta = blocks.meta(pbn);
+    meta.valid_count() as u64 * VALID_PAGE_WEIGHT + meta.erase_count() as u64 * wear_weight as u64
 }
 
 /// Whether a block may be reclaimed: it must be fully written (never steal
 /// an open block from the allocator) and have at least one invalid page.
-pub(crate) fn eligible(blocks: &BlockTable, pbn: Pbn, mask: WayMask) -> bool {
+fn eligible(blocks: &BlockTable, pbn: Pbn, mask: WayMask) -> bool {
     let g = blocks.geometry();
     let meta = blocks.meta(pbn);
     meta.state() == BlockState::Full
@@ -33,34 +71,35 @@ pub(crate) fn eligible(blocks: &BlockTable, pbn: Pbn, mask: WayMask) -> bool {
 
 /// Selects up to `n` victim blocks within `mask`'s ways.
 ///
-/// Greedy selection orders by `(valid_count, pbn)` so results are
-/// deterministic; random selection consumes `rng`.
+/// Greedy selection orders by `(valid_count, pbn)` and wear-aware
+/// selection by `(score, pbn)`, so results are deterministic; only random
+/// selection consumes `rng`.
 ///
 /// # Examples
 ///
 /// ```
 /// use nssd_flash::Geometry;
-/// use nssd_ftl::{select_victims, BlockTable, VictimPolicy, WayMask};
+/// use nssd_ftl::{select_victims, BlockTable, VictimSpec, WayMask};
 /// use nssd_sim::DetRng;
 ///
 /// let g = Geometry::tiny();
 /// let blocks = BlockTable::new(&g);
 /// let mut rng = DetRng::seed_from_u64(7);
 /// // A fresh device has no full blocks, hence no victims.
-/// let v = select_victims(&blocks, 4, WayMask::all(g.ways), VictimPolicy::Greedy, &mut rng);
+/// let v = select_victims(&blocks, 4, WayMask::all(g.ways), VictimSpec::Greedy, &mut rng);
 /// assert!(v.is_empty());
 /// ```
 pub fn select_victims<R: Rng>(
     blocks: &BlockTable,
     n: usize,
     mask: WayMask,
-    policy: VictimPolicy,
+    spec: VictimSpec,
     rng: &mut R,
 ) -> Vec<Pbn> {
     if n == 0 {
         return Vec::new();
     }
-    if policy == VictimPolicy::Greedy {
+    if spec == VictimSpec::Greedy {
         // One scan keeping the `n` smallest `(valid_count, pbn)` keys —
         // identical to sorting every eligible block and truncating (keys
         // are unique, so the order is total), without materializing the
@@ -85,9 +124,9 @@ pub fn select_victims<R: Rng>(
         .filter(|(pbn, _)| eligible(blocks, *pbn, mask))
         .map(|(pbn, _)| pbn)
         .collect();
-    match policy {
-        VictimPolicy::Greedy => unreachable!("handled above"),
-        VictimPolicy::Random => {
+    match spec {
+        VictimSpec::Greedy => unreachable!("handled above"),
+        VictimSpec::Random => {
             let mut out = Vec::with_capacity(n.min(candidates.len()));
             for _ in 0..n.min(candidates.len()) {
                 let i = rng.gen_range(0..candidates.len());
@@ -95,7 +134,7 @@ pub fn select_victims<R: Rng>(
             }
             out
         }
-        VictimPolicy::CostBenefit => {
+        VictimSpec::CostBenefit => {
             let g = blocks.geometry();
             let now = blocks.op_clock();
             let score = |pbn: Pbn| -> f64 {
@@ -114,6 +153,11 @@ pub fn select_victims<R: Rng>(
                     .expect("scores are never NaN")
                     .then(a.cmp(&b))
             });
+            candidates.truncate(n);
+            candidates
+        }
+        VictimSpec::WearAware { wear_weight } => {
+            candidates.sort_by_key(|&pbn| (wear_score(blocks, pbn, wear_weight), pbn));
             candidates.truncate(n);
             candidates
         }
@@ -155,7 +199,7 @@ mod tests {
             &blocks,
             3,
             WayMask::all(g.ways),
-            VictimPolicy::Greedy,
+            VictimSpec::Greedy,
             &mut rng,
         );
         assert!(!victims.is_empty());
@@ -184,14 +228,14 @@ mod tests {
             &blocks,
             4,
             WayMask::all(g.ways),
-            VictimPolicy::Greedy,
+            VictimSpec::Greedy,
             &mut r1,
         );
         let b = select_victims(
             &blocks,
             4,
             WayMask::all(g.ways),
-            VictimPolicy::Greedy,
+            VictimSpec::Greedy,
             &mut r2,
         );
         assert_eq!(a, b);
@@ -202,7 +246,7 @@ mod tests {
         let (g, blocks) = build_fragmented();
         let mut rng = DetRng::seed_from_u64(1);
         let mask = WayMask::from_ways([1u32]);
-        let victims = select_victims(&blocks, 10, mask, VictimPolicy::Greedy, &mut rng);
+        let victims = select_victims(&blocks, 10, mask, VictimSpec::Greedy, &mut rng);
         for v in victims {
             assert_eq!(g.block_addr(v).way, 1);
         }
@@ -217,14 +261,14 @@ mod tests {
             &blocks,
             3,
             WayMask::all(g.ways),
-            VictimPolicy::Random,
+            VictimSpec::Random,
             &mut r1,
         );
         let b = select_victims(
             &blocks,
             3,
             WayMask::all(g.ways),
-            VictimPolicy::Random,
+            VictimSpec::Random,
             &mut r2,
         );
         assert_eq!(a, b);
@@ -244,7 +288,7 @@ mod tests {
             &blocks,
             3,
             WayMask::all(g.ways),
-            VictimPolicy::CostBenefit,
+            VictimSpec::CostBenefit,
             &mut rng,
         );
         assert!(!cb.is_empty());
@@ -258,10 +302,46 @@ mod tests {
             &blocks,
             3,
             WayMask::all(g.ways),
-            VictimPolicy::CostBenefit,
+            VictimSpec::CostBenefit,
             &mut rng,
         );
         assert_eq!(cb, cb2);
+    }
+
+    #[test]
+    fn wear_aware_orders_by_valid_count_then_wear() {
+        let (g, mut blocks) = build_fragmented();
+        let all = WayMask::all(g.ways);
+        let mut rng = DetRng::seed_from_u64(3);
+        // With zero wear everywhere, wear-aware degenerates to greedy.
+        let wa = VictimSpec::WearAware { wear_weight: 2 };
+        let greedy = select_victims(&blocks, 4, all, VictimSpec::Greedy, &mut rng);
+        assert_eq!(select_victims(&blocks, 4, all, wa, &mut rng), greedy);
+        // Now age the greedy favourite far past everyone else: cycle it
+        // through erase/refill until its wear term outweighs any
+        // valid-count advantage, so the wear term must demote it.
+        let favourite = greedy[0];
+        let unit = (favourite.raw() / g.blocks_per_plane as u64) as usize;
+        let cycles = g.pages_per_block as u64 * VALID_PAGE_WEIGHT / 2 + 1;
+        for _ in 0..cycles {
+            for p in blocks.valid_pages(favourite) {
+                blocks.invalidate(p);
+            }
+            blocks.erase(favourite);
+            let taken = blocks.take_free_block(unit).unwrap();
+            assert_eq!(taken, favourite, "free list is LIFO over the erase");
+            while blocks.program_next_page(favourite).is_some() {}
+        }
+        // Leave it some garbage so it stays eligible.
+        let one = blocks.valid_pages(favourite)[0];
+        blocks.invalidate(one);
+        let again = select_victims(&blocks, 4, all, wa, &mut rng);
+        assert!(
+            !again.contains(&favourite),
+            "worn block {favourite} must rank below fresher candidates"
+        );
+        // And the scoring itself is monotone in wear.
+        assert!(wear_score(&blocks, favourite, 5) > wear_score(&blocks, again[0], 5));
     }
 
     #[test]
@@ -272,7 +352,7 @@ mod tests {
             &blocks,
             64,
             WayMask::all(g.ways),
-            VictimPolicy::Greedy,
+            VictimSpec::Greedy,
             &mut rng,
         );
         for v in &victims {

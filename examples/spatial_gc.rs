@@ -14,7 +14,7 @@ fn main() -> Result<(), String> {
     let mut baseline_mean = None;
     for policy in policies {
         let mut cfg = SsdConfig::gc_scaled(Architecture::PnSsdSplit);
-        cfg.gc.policy = policy;
+        cfg.gc.plan = Some(policy.plan());
         let trace = PaperWorkload::RocksDb0.generate(8_000, cfg.logical_bytes() / 2, 7);
         // 85% full with 0.3×logical random overwrites, then pushed to the
         // trigger watermark so GC runs throughout the measurement.

@@ -1,11 +1,11 @@
 //! Cross-crate integration: the six architectures compared end-to-end, and
 //! the orderings the paper's evaluation rests on.
 
-use networked_ssd::{run_trace, Architecture, GcPolicy, PaperWorkload, SimReport, SsdConfig};
+use networked_ssd::{run_trace, Architecture, PaperWorkload, SimReport, SsdConfig};
 
 fn io_cfg(arch: Architecture) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     cfg
 }
 

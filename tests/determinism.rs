@@ -20,7 +20,7 @@ fn trace_generation_is_bit_stable() {
 fn open_loop_runs_are_identical() {
     for arch in Architecture::all() {
         let mut cfg = SsdConfig::tiny(arch);
-        cfg.gc.policy = GcPolicy::None;
+        cfg.gc.plan = None;
         let trace = PaperWorkload::Exchange0.generate(150, cfg.logical_bytes() / 2, 5);
         let a = run_trace(cfg, &trace).unwrap();
         let b = run_trace(cfg, &trace).unwrap();
@@ -31,7 +31,7 @@ fn open_loop_runs_are_identical() {
 #[test]
 fn closed_loop_runs_are_identical() {
     let mut cfg = SsdConfig::tiny(Architecture::PnSsdSplit);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     let spec = SyntheticSpec {
         pattern: SyntheticPattern::RandomWrite,
         request_bytes: 8192,
@@ -48,7 +48,7 @@ fn closed_loop_runs_are_identical() {
 #[test]
 fn gc_runs_are_identical_including_gc_stats() {
     let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
-    cfg.gc.policy = GcPolicy::Spatial;
+    cfg.gc.plan = Some(GcPolicy::Spatial.plan());
     let trace = PaperWorkload::YcsbA.generate(250, cfg.logical_bytes() / 2, 13);
     let a = run_trace_preconditioned(cfg, &trace, 0.85, 0.3).unwrap();
     let b = run_trace_preconditioned(cfg, &trace, 0.85, 0.3).unwrap();
@@ -68,7 +68,7 @@ fn zero_rate_faults_leave_reports_bit_identical() {
         Architecture::PnSsdSplit,
     ] {
         let mut cfg = SsdConfig::tiny(arch);
-        cfg.gc.policy = GcPolicy::None;
+        cfg.gc.plan = None;
         let trace = PaperWorkload::YcsbA.generate(150, cfg.logical_bytes() / 2, 3);
         let baseline = run_trace(cfg, &trace).unwrap();
         let mut seeded = cfg;
@@ -82,7 +82,7 @@ fn zero_rate_faults_leave_reports_bit_identical() {
 #[test]
 fn fault_injected_runs_are_identical() {
     let mut cfg = SsdConfig::tiny(Architecture::PnSsdSplit);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     cfg.faults.bit_error.rber = 2e-4;
     cfg.faults.link.ber = 1e-7;
     let trace = PaperWorkload::Exchange0.generate(200, cfg.logical_bytes() / 2, 5);
@@ -110,7 +110,7 @@ fn every_topology_and_gc_policy_is_bit_stable() {
     for arch in topologies {
         for policy in policies {
             let mut cfg = SsdConfig::tiny(arch);
-            cfg.gc.policy = policy;
+            cfg.gc.plan = Some(policy.plan());
             cfg.gc.victims_per_trigger = 2;
             cfg.oracle = true;
             let trace = PaperWorkload::YcsbA.generate(100, cfg.logical_bytes() / 2, 41);
@@ -129,7 +129,7 @@ fn every_topology_and_gc_policy_is_bit_stable() {
 #[test]
 fn different_seeds_produce_different_runs() {
     let mut cfg = SsdConfig::tiny(Architecture::BaseSsd);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     let t1 = PaperWorkload::YcsbA.generate(200, cfg.logical_bytes() / 2, 1);
     let t2 = PaperWorkload::YcsbA.generate(200, cfg.logical_bytes() / 2, 2);
     let a = run_trace(cfg, &t1).unwrap();

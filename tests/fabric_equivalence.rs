@@ -73,7 +73,7 @@ fn every_architecture_is_deterministic_on_a_mixed_workload() {
             move || {
                 let run = || {
                     let mut cfg = SsdConfig::tiny(arch);
-                    cfg.gc.policy = GcPolicy::None;
+                    cfg.gc.plan = None;
                     let trace = mixed_trace(&cfg, 150, 21);
                     run_trace(cfg, trace).expect("run succeeds")
                 };
@@ -105,7 +105,7 @@ fn spatial_gc_through_the_fabric_is_deterministic_everywhere() {
         for policy in [GcPolicy::Parallel, GcPolicy::Spatial] {
             let run = || {
                 let mut cfg = SsdConfig::tiny(arch);
-                cfg.gc.policy = policy;
+                cfg.gc.plan = Some(policy.plan());
                 cfg.gc.victims_per_trigger = 2;
                 let trace = mixed_trace(&cfg, 120, 33);
                 networked_ssd::run_trace_preconditioned(cfg, &trace, 0.85, 0.3)

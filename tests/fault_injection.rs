@@ -11,7 +11,7 @@ use networked_ssd::{
 
 fn no_gc_config(arch: Architecture) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     cfg
 }
 
@@ -101,7 +101,7 @@ fn manufacture_bad_blocks_are_retired_up_front() {
 #[test]
 fn grown_bad_blocks_retire_during_gc() {
     let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
-    cfg.gc.policy = GcPolicy::Spatial;
+    cfg.gc.plan = Some(GcPolicy::Spatial.plan());
     cfg.faults.bad_blocks.grown_rate = 0.01;
     let trace = PaperWorkload::YcsbA.generate(250, cfg.logical_bytes() / 2, 13);
     let r = run_trace_preconditioned(cfg, &trace, 0.85, 0.3).unwrap();

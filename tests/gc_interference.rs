@@ -7,7 +7,7 @@ use networked_ssd::{run_trace_preconditioned, Architecture, GcPolicy, PaperWorkl
 
 fn gc_cfg(arch: Architecture, policy: GcPolicy) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
-    cfg.gc.policy = policy;
+    cfg.gc.plan = Some(policy.plan());
     cfg
 }
 

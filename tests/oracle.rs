@@ -20,9 +20,9 @@ use networked_ssd::{
     SsdConfig,
 };
 
-fn oracle_cfg(arch: Architecture, policy: GcPolicy) -> SsdConfig {
+fn oracle_cfg(arch: Architecture, policy: Option<GcPolicy>) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
-    cfg.gc.policy = policy;
+    cfg.gc.plan = policy.map(GcPolicy::plan);
     cfg.gc.victims_per_trigger = 2;
     cfg.oracle = true;
     cfg
@@ -31,7 +31,7 @@ fn oracle_cfg(arch: Architecture, policy: GcPolicy) -> SsdConfig {
 #[test]
 fn clean_runs_have_zero_violations_on_every_architecture() {
     for arch in Architecture::all() {
-        let cfg = oracle_cfg(arch, GcPolicy::None);
+        let cfg = oracle_cfg(arch, None);
         let trace = PaperWorkload::YcsbA.generate(120, cfg.logical_bytes() / 2, 21);
         let report = run_trace(cfg, &trace).unwrap();
         assert!(report.oracle.enabled, "{arch}");
@@ -47,7 +47,7 @@ fn clean_runs_have_zero_violations_on_every_architecture() {
 #[test]
 fn clean_runs_have_zero_violations_under_every_gc_policy() {
     for policy in [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial] {
-        let cfg = oracle_cfg(Architecture::PnSsd, policy);
+        let cfg = oracle_cfg(Architecture::PnSsd, Some(policy));
         let trace = PaperWorkload::YcsbA.generate(150, cfg.logical_bytes() / 2, 23);
         let report = run_trace_preconditioned(cfg, &trace, 0.85, 0.3).unwrap();
         assert!(report.gc.events > 0, "{policy}: GC never ran");
@@ -74,7 +74,7 @@ fn oracle_off_by_default_and_report_says_so() {
 /// reverse tables mutually consistent, so only the shadow model can see it.
 #[test]
 fn mutated_mapping_entry_fires_the_oracle_end_to_end() {
-    let cfg = oracle_cfg(Architecture::BaseSsd, GcPolicy::None);
+    let cfg = oracle_cfg(Architecture::BaseSsd, None);
     let page = cfg.geometry.page_bytes as u64;
     let mut sim = SsdSim::new(cfg).unwrap();
     let mut rng = DetRng::seed_from_u64(17);
@@ -148,7 +148,7 @@ fn functional_digest_is_identical_across_interconnect_backends() {
     // Omnibus (pnSSD) place and time pages completely differently; the
     // functional outcome of the same logical workload must not differ.
     let trace = {
-        let cfg = oracle_cfg(Architecture::BaseSsd, GcPolicy::None);
+        let cfg = oracle_cfg(Architecture::BaseSsd, None);
         PaperWorkload::YcsbA.generate(120, cfg.logical_bytes() / 2, 31)
     };
     let digests: Vec<u64> = [
@@ -158,7 +158,7 @@ fn functional_digest_is_identical_across_interconnect_backends() {
     ]
     .into_iter()
     .map(|arch| {
-        let report = run_trace(oracle_cfg(arch, GcPolicy::None), &trace).unwrap();
+        let report = run_trace(oracle_cfg(arch, None), &trace).unwrap();
         assert!(report.oracle.violations.is_empty(), "{arch}");
         report.oracle.functional_digest
     })
@@ -173,14 +173,14 @@ fn functional_digest_is_identical_across_gc_policies() {
     // different planes — pure placement/timing choices that must cancel
     // out of the functional digest.
     let trace = {
-        let cfg = oracle_cfg(Architecture::PnSsd, GcPolicy::Parallel);
+        let cfg = oracle_cfg(Architecture::PnSsd, Some(GcPolicy::Parallel));
         PaperWorkload::YcsbA.generate(120, cfg.logical_bytes() / 2, 37)
     };
     let digests: Vec<u64> = [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial]
         .into_iter()
         .map(|policy| {
             let report = run_trace_preconditioned(
-                oracle_cfg(Architecture::PnSsd, policy),
+                oracle_cfg(Architecture::PnSsd, Some(policy)),
                 &trace,
                 0.85,
                 0.3,
@@ -220,7 +220,7 @@ fn relocation_of_a_never_mapped_lpn_is_reported_not_a_panic() {
 /// An aged tiny pnSSD with PaGC and the oracle on, synced, plus the drive
 /// of a ycsb-a trace over the first half of the logical space.
 fn aged_oracle_sim() -> (SsdConfig, SsdSim, Drive) {
-    let cfg = oracle_cfg(Architecture::PnSsd, GcPolicy::Parallel);
+    let cfg = oracle_cfg(Architecture::PnSsd, Some(GcPolicy::Parallel));
     let trace = PaperWorkload::YcsbA.generate(150, cfg.logical_bytes() / 2, 23);
     let (mut sim, drive) = prepare_trace_preconditioned(cfg, &trace, 0.85, 0.3).unwrap();
     sim.oracle_sync();

@@ -1,78 +1,40 @@
-//! Composed-plan equivalence: a GC plan assembled from components must be
-//! indistinguishable from the legacy policy it decomposes.
+//! Composed-plan equivalence: the plans that are not paper presets must
+//! keep device semantics intact.
 //!
-//! Every legacy [`GcPolicy`] now resolves to a [`GcPlanSpec`] component
-//! tuple inside the engine; these tests pin the *config plumbing* on top of
-//! that — running with an explicit `gc.plan` override must produce a
-//! byte-identical canonical report to running with the policy field alone,
-//! across architectures. The two new plans with no legacy equivalent
-//! (hot/cold placement, wear-aware victims) are validated functionally: the
-//! shadow oracle stays clean and the functional digest matches PaGC's on
-//! the same trace — placement and victim order are timing/wear choices that
-//! must cancel out of device semantics.
+//! The paper's collectors are [`GcPolicy`] presets of [`GcPlanSpec`]; the
+//! golden matrix pins those byte-for-byte on both fabrics. The two plans
+//! with no preset (hot/cold placement, wear-aware victims) are validated
+//! functionally here: the shadow oracle stays clean and the functional
+//! digest matches PaGC's on the same trace — placement and victim order are
+//! timing/wear choices that must cancel out of device semantics.
 
 use networked_ssd::core::golden::canonical_json;
 use networked_ssd::{
     run_trace_preconditioned, Architecture, GcPlanSpec, GcPolicy, PaperWorkload, SsdConfig,
 };
 
-fn cfg_with(arch: Architecture, policy: GcPolicy, plan: Option<GcPlanSpec>) -> SsdConfig {
+fn cfg_with(arch: Architecture, plan: GcPlanSpec) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
-    cfg.gc.policy = policy;
-    cfg.gc.plan = plan;
+    cfg.gc.plan = Some(plan);
     cfg.gc.victims_per_trigger = 2;
     cfg.oracle = true;
     cfg
 }
 
 #[test]
-fn explicit_plan_matches_legacy_policy_byte_for_byte() {
-    for arch in [Architecture::BaseSsd, Architecture::PnSsd] {
-        for policy in [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial] {
-            let trace = {
-                let cfg = cfg_with(arch, policy, None);
-                PaperWorkload::YcsbA.generate(120, cfg.logical_bytes() / 2, 13)
-            };
-            let spec =
-                GcPlanSpec::from_policy(policy, cfg_with(arch, policy, None).gc.victim_policy)
-                    .expect("enabled policies decompose");
-            let legacy =
-                run_trace_preconditioned(cfg_with(arch, policy, None), &trace, 0.85, 0.3).unwrap();
-            let composed =
-                run_trace_preconditioned(cfg_with(arch, policy, Some(spec)), &trace, 0.85, 0.3)
-                    .unwrap();
-            assert!(legacy.gc.events > 0, "{arch}/{policy}: GC never ran");
-            assert_eq!(
-                canonical_json(&legacy),
-                canonical_json(&composed),
-                "{arch}/{policy}: composed plan {spec} diverged from legacy policy"
-            );
-        }
-    }
-}
-
-#[test]
 fn new_plans_preserve_functional_digest_and_oracle_cleanliness() {
+    let pagc = GcPolicy::Parallel.plan();
     let trace = {
-        let cfg = cfg_with(Architecture::PnSsd, GcPolicy::Parallel, None);
+        let cfg = cfg_with(Architecture::PnSsd, pagc);
         PaperWorkload::YcsbA.generate(150, cfg.logical_bytes() / 2, 23)
     };
-    let baseline = run_trace_preconditioned(
-        cfg_with(Architecture::PnSsd, GcPolicy::Parallel, None),
-        &trace,
-        0.85,
-        0.3,
-    )
-    .unwrap();
+    let baseline =
+        run_trace_preconditioned(cfg_with(Architecture::PnSsd, pagc), &trace, 0.85, 0.3).unwrap();
     assert!(baseline.gc.events > 0, "PaGC baseline: GC never ran");
     for spec in [GcPlanSpec::hot_cold(), GcPlanSpec::wear_aware()] {
-        let report = run_trace_preconditioned(
-            cfg_with(Architecture::PnSsd, GcPolicy::Parallel, Some(spec)),
-            &trace,
-            0.85,
-            0.3,
-        )
-        .unwrap();
+        let report =
+            run_trace_preconditioned(cfg_with(Architecture::PnSsd, spec), &trace, 0.85, 0.3)
+                .unwrap();
         assert!(report.gc.events > 0, "{spec}: GC never ran");
         assert!(
             report.oracle.violations.is_empty(),
@@ -88,25 +50,17 @@ fn new_plans_preserve_functional_digest_and_oracle_cleanliness() {
 
 #[test]
 fn new_plans_report_wear_detail_and_legacy_plans_do_not() {
+    let pagc = GcPolicy::Parallel.plan();
     let trace = {
-        let cfg = cfg_with(Architecture::PnSsd, GcPolicy::Parallel, None);
+        let cfg = cfg_with(Architecture::PnSsd, pagc);
         PaperWorkload::YcsbA.generate(120, cfg.logical_bytes() / 2, 13)
     };
-    let legacy = run_trace_preconditioned(
-        cfg_with(Architecture::PnSsd, GcPolicy::Parallel, None),
-        &trace,
-        0.85,
-        0.3,
-    )
-    .unwrap();
-    assert!(!legacy.wear_tracked, "legacy PaGC must not track wear");
+    let legacy =
+        run_trace_preconditioned(cfg_with(Architecture::PnSsd, pagc), &trace, 0.85, 0.3).unwrap();
+    assert!(!legacy.wear_tracked, "PaGC must not track wear");
     assert!(!canonical_json(&legacy).contains("wear_detail"));
     let wear = run_trace_preconditioned(
-        cfg_with(
-            Architecture::PnSsd,
-            GcPolicy::Parallel,
-            Some(GcPlanSpec::wear_aware()),
-        ),
+        cfg_with(Architecture::PnSsd, GcPlanSpec::wear_aware()),
         &trace,
         0.85,
         0.3,

@@ -10,11 +10,11 @@ use networked_ssd::flash::Geometry;
 use networked_ssd::ftl::{FailStopMode, Ftl, FtlConfig, GcStream, Lpn, RedundancyConfig, WayMask};
 use networked_ssd::oracle::Oracle;
 use networked_ssd::sim::{Pool, SimTime};
-use networked_ssd::{run_trace, Architecture, GcPolicy, PaperWorkload, SsdConfig, Trace};
+use networked_ssd::{run_trace, Architecture, PaperWorkload, SsdConfig, Trace};
 
 fn redundant_cfg(arch: Architecture) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     cfg.redundancy = RedundancyConfig::with_stripe(2);
     cfg.oracle = true;
     cfg.faults.chip_failure = Some(ChipFailureSpec {
@@ -73,7 +73,7 @@ fn degraded_reads_reconstruct_and_rebuild_reprotects_every_fabric() {
 fn strict_fail_stop_loses_pages_while_legacy_relocates_and_redundancy_recovers() {
     let base = {
         let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
-        cfg.gc.policy = GcPolicy::None;
+        cfg.gc.plan = None;
         cfg.oracle = true;
         cfg.faults.chip_failure = Some(ChipFailureSpec {
             channel: 0,
@@ -116,7 +116,7 @@ fn strict_fail_stop_loses_pages_while_legacy_relocates_and_redundancy_recovers()
 #[test]
 fn link_retry_exhaustion_is_a_host_visible_error() {
     let mut cfg = SsdConfig::tiny(Architecture::PSsd);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     // Wire noise hot enough that the shrunk retry budget gives up on some
     // transfers: each abandoned transfer must surface as a per-request
     // I/O error, not vanish into a silently-completed read.
