@@ -5,7 +5,7 @@
 use nssd_core::{run_closed_loop, run_trace, run_trace_preconditioned, Architecture};
 use nssd_flash::{FlashTiming, Geometry};
 use nssd_ftl::{GcPlanSpec, GcPolicy, VictimSpec};
-use nssd_sim::SimTime;
+use nssd_sim::{Pool, SimTime};
 use nssd_workloads::{PaperWorkload, SyntheticPattern, SyntheticSpec};
 
 use crate::experiments::Experiment;
@@ -34,7 +34,7 @@ pub fn abl_ctrl_latency() -> Experiment {
         })
         .collect();
     let mut base = 0.0f64;
-    for (&ns, r) in latencies.iter().zip(nssd_sim::scoped_map(jobs).iter()) {
+    for (&ns, r) in latencies.iter().zip(Pool::from_env().map(jobs).iter()) {
         let mean = r.all.mean.as_ns() as f64;
         if ns == 0 {
             base = mean;
@@ -86,7 +86,7 @@ pub fn abl_gc_group_fraction() -> Experiment {
             }
         })
         .collect();
-    for (&fraction, r) in fractions.iter().zip(nssd_sim::scoped_map(jobs).iter()) {
+    for (&fraction, r) in fractions.iter().zip(Pool::from_env().map(jobs).iter()) {
         t.row(vec![
             format!("{:.0}% of ways", fraction * 100.0),
             fmt_us(r.read.mean.as_ns()),
@@ -139,7 +139,7 @@ pub fn abl_victim_selection() -> Experiment {
             }
         })
         .collect();
-    for (&(label, _), r) in policies.iter().zip(nssd_sim::scoped_map(jobs).iter()) {
+    for (&(label, _), r) in policies.iter().zip(Pool::from_env().map(jobs).iter()) {
         t.row(vec![
             label.to_string(),
             fmt_us(r.all.mean.as_ns()),
@@ -190,7 +190,7 @@ pub fn abl_flash_generation() -> Experiment {
                 })
         })
         .collect();
-    let reports = nssd_sim::scoped_map(jobs);
+    let reports = Pool::from_env().map(jobs);
     for (i, &(label, _)) in generations.iter().enumerate() {
         let means: Vec<f64> = reports[2 * i..2 * i + 2]
             .iter()
@@ -262,7 +262,7 @@ pub fn abl_omnibus_shapes() -> Experiment {
                 .map(move |cfg| move || run_closed_loop(cfg, trace, 32).expect("abl run"))
         })
         .collect();
-    let reports = nssd_sim::scoped_map(jobs);
+    let reports = Pool::from_env().map(jobs);
     for (i, &(label, channels, ways)) in shapes.iter().enumerate() {
         let (pn, base) = (&reports[2 * i], &reports[2 * i + 1]);
         let v_channels = channels.min(ways);
@@ -316,7 +316,7 @@ pub fn abl_ftl_compute() -> Experiment {
                 })
         })
         .collect();
-    let reports = nssd_sim::scoped_map(jobs);
+    let reports = Pool::from_env().map(jobs);
     for (i, &us) in latencies.iter().enumerate() {
         let means: Vec<f64> = reports[2 * i..2 * i + 2]
             .iter()

@@ -18,11 +18,11 @@
 //!
 //! Usage: `lifetime [--smoke] [--out <path>]`
 
-use std::fmt::Write as _;
-
+use nssd_bench::results::Results;
 use nssd_core::{Architecture, Checkpoint, Drive, SsdConfig, SsdSim};
 use nssd_host::{IoOp, IoRequest};
-use nssd_sim::{DetRng, Histogram, Rng, SimTime};
+use nssd_sim::json::Json;
+use nssd_sim::{obj, DetRng, Histogram, Rng, SimTime};
 use nssd_workloads::{tail_resolvable, WindowedStats};
 
 /// One architecture's segment-by-segment lifetime record.
@@ -34,6 +34,7 @@ struct LifetimeRecord {
     died_in_segment: Option<usize>,
 }
 
+#[derive(Debug)]
 struct SegmentRecord {
     /// 1-based segment index.
     index: usize,
@@ -64,13 +65,6 @@ struct SegmentRecord {
     win_p99_us: Option<f64>,
     /// Checkpoint size for this segment boundary.
     ckpt_bytes: usize,
-}
-
-fn opt(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("{x:.1}"),
-        None => "null".into(),
-    }
 }
 
 /// Closed-loop segment traffic: page-sized requests, 80% writes over a
@@ -208,62 +202,55 @@ fn run_architecture(
     })
 }
 
-fn to_json(records: &[LifetimeRecord]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"lifetime\",\n  \"architectures\": [\n");
-    for (i, rec) in records.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\n      \"architecture\": \"{}\",\n      \"died_in_segment\": {},\n      \
-             \"segments\": [\n",
-            rec.arch.label(),
-            rec.died_in_segment.map_or("null".into(), |s| s.to_string()),
-        );
-        for (j, s) in rec.segments.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "        {{\"segment\": {}, \"sim_time_ms\": {:.3}, \"completed\": {}, \
-                 \"write_amp\": {:.3}, \"wear_mean\": {:.2}, \"wear_std\": {:.2}, \
-                 \"wear_min\": {}, \"wear_max\": {}, \"way_imbalance\": {:.3}, \
-                 \"grown_bad\": {}, \"retired\": {}, \"seg_p50_us\": {}, \"seg_p99_us\": {}, \
-                 \"win_p50_us\": {}, \"win_p99_us\": {}, \"ckpt_bytes\": {}}}{}",
-                s.index,
-                s.now.as_secs_f64() * 1e3,
-                s.completed,
-                s.write_amp,
-                s.wear_mean,
-                s.wear_std,
-                s.wear_min,
-                s.wear_max,
-                s.way_imbalance,
-                s.grown_bad,
-                s.retired,
-                opt(s.seg_p50_us),
-                opt(s.seg_p99_us),
-                opt(s.win_p50_us),
-                opt(s.win_p99_us),
-                s.ckpt_bytes,
-                if j + 1 < rec.segments.len() { "," } else { "" },
-            );
+impl LifetimeRecord {
+    fn to_json(&self) -> Json {
+        obj! {
+            architecture: self.arch.label(),
+            died_in_segment: self.died_in_segment,
+            segments: Json::array(&self.segments, SegmentRecord::to_json),
         }
-        let _ = writeln!(
-            out,
-            "      ]\n    }}{}",
-            if i + 1 < records.len() { "," } else { "" }
-        );
     }
-    out.push_str("  ]\n}\n");
-    out
+}
+
+impl SegmentRecord {
+    fn to_json(&self) -> Json {
+        obj! {
+            segment: self.index, sim_time_ms: Json::fixed(self.now.as_secs_f64() * 1e3, 3),
+            completed: self.completed, write_amp: Json::fixed(self.write_amp, 3),
+            wear_mean: Json::fixed(self.wear_mean, 2), wear_std: Json::fixed(self.wear_std, 2),
+            wear_min: self.wear_min, wear_max: self.wear_max,
+            way_imbalance: Json::fixed(self.way_imbalance, 3),
+            grown_bad: self.grown_bad, retired: self.retired,
+            seg_p50_us: Json::fixed(self.seg_p50_us, 1),
+            seg_p99_us: Json::fixed(self.seg_p99_us, 1),
+            win_p50_us: Json::fixed(self.win_p50_us, 1),
+            win_p99_us: Json::fixed(self.win_p99_us, 1),
+            ckpt_bytes: self.ckpt_bytes,
+        }
+    }
+}
+
+/// The smoke gate: all four architectures ran, each completed at least one
+/// segment, and every segment served requests and checkpointed.
+fn smoke_checks(records: &[LifetimeRecord]) -> Vec<(bool, String)> {
+    let count = format!("{} architectures, expected 4", records.len());
+    let mut checks = vec![(records.len() == 4, count)];
+    checks.extend(records.iter().map(|rec| {
+        let segments = &rec.segments;
+        let ok =
+            !segments.is_empty() && segments.iter().all(|s| s.ckpt_bytes > 0 && s.completed > 0);
+        (ok, format!("{}: {segments:?}", rec.arch.label()))
+    }));
+    checks
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "target/lifetime.json".into());
-    let (segments, per_segment) = if smoke { (3, 1_500) } else { (20, 6_000) };
+    let results = Results::from_args("lifetime");
+    let (segments, per_segment) = if results.smoke {
+        (3, 1_500)
+    } else {
+        (20, 6_000)
+    };
 
     let archs = [
         Architecture::BaseSsd,
@@ -277,48 +264,36 @@ fn main() {
             ">>> {}: {segments} segments x {per_segment} requests",
             arch.label()
         );
-        match run_architecture(arch, segments, per_segment) {
-            Ok(rec) => {
-                let (Some(last), Some(first)) = (rec.segments.last(), rec.segments.first()) else {
-                    println!(
-                        "{:<14} died before completing its first segment",
-                        rec.arch.label()
-                    );
-                    records.push(rec);
-                    continue;
-                };
-                println!(
-                    "{:<14} wear {:.1}±{:.1} (imbalance {:.2}), grown-bad {}, retired {}, \
-                     WA {:.2}, p99 {} → {} µs{}",
-                    rec.arch.label(),
-                    last.wear_mean,
-                    last.wear_std,
-                    last.way_imbalance,
-                    last.grown_bad,
-                    last.retired,
-                    last.write_amp,
-                    opt(first.seg_p99_us),
-                    opt(last.seg_p99_us),
-                    match rec.died_in_segment {
-                        Some(s) => format!(", died in segment {s}"),
-                        None => String::new(),
-                    },
-                );
-                records.push(rec);
-            }
-            Err(e) => {
-                eprintln!("lifetime: {e}");
-                std::process::exit(1);
-            }
-        }
+        let rec = run_architecture(arch, segments, per_segment).unwrap_or_else(|e| results.fail(e));
+        let (Some(last), Some(first)) = (rec.segments.last(), rec.segments.first()) else {
+            println!(
+                "{:<14} died before completing its first segment",
+                rec.arch.label()
+            );
+            records.push(rec);
+            continue;
+        };
+        println!(
+            "{:<14} wear {:.1}±{:.1} (imbalance {:.2}), grown-bad {}, retired {}, \
+             WA {:.2}, p99 {} → {} µs{}",
+            rec.arch.label(),
+            last.wear_mean,
+            last.wear_std,
+            last.way_imbalance,
+            last.grown_bad,
+            last.retired,
+            last.write_amp,
+            Json::fixed(first.seg_p99_us, 1),
+            Json::fixed(last.seg_p99_us, 1),
+            match rec.died_in_segment {
+                Some(s) => format!(", died in segment {s}"),
+                None => String::new(),
+            },
+        );
+        records.push(rec);
     }
 
-    let json = to_json(&records);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write lifetime report");
-    eprintln!("wrote {out_path}");
+    let body = obj! { architectures: Json::array(&records, LifetimeRecord::to_json) };
+    results.write("target/lifetime.json", "nssd-bench-lifetime/1", body, 4);
+    results.smoke_gate(|| smoke_checks(&records));
 }

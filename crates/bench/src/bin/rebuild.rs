@@ -16,15 +16,16 @@
 //!
 //! Usage: `rebuild [--smoke] [--out <path>]`
 
-use std::fmt::Write as _;
-
+use nssd_bench::results::Results;
 use nssd_core::{prepare_trace, Architecture, SimReport, SsdConfig};
 use nssd_flash::Geometry;
 use nssd_ftl::RedundancyConfig;
-use nssd_sim::SimTime;
+use nssd_sim::json::Json;
+use nssd_sim::{obj, SimTime};
 use nssd_workloads::PaperWorkload;
 
 /// One (architecture, stripe width) cell of the sweep.
+#[derive(Debug)]
 struct RebuildRecord {
     arch: Architecture,
     stripe_width: u32,
@@ -117,52 +118,44 @@ fn record(
     })
 }
 
-fn opt(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("{x:.1}"),
-        None => "null".into(),
+impl RebuildRecord {
+    fn to_json(&self) -> Json {
+        obj! {
+            architecture: self.arch.label(), stripe_width: self.stripe_width,
+            completed: self.completed, read_p99_us: Json::fixed(self.read_p99_us, 1),
+            control_read_p99_us: Json::fixed(self.control_read_p99_us, 1),
+            degraded_p99_us: Json::fixed(self.degraded_p99_us, 1),
+            degraded_reads: self.degraded_reads, reconstructed_reads: self.reconstructed_reads,
+            pages_degraded: self.pages_degraded, rebuild_pages: self.rebuild_pages,
+            rebuild_time_us: Json::fixed(self.rebuild_time_us, 1),
+            pages_lost: self.pages_lost, host_io_errors: self.host_io_errors,
+        }
     }
 }
 
-fn to_json(records: &[RebuildRecord]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"rebuild\",\n  \"runs\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"architecture\": \"{}\", \"stripe_width\": {}, \"completed\": {}, \
-             \"read_p99_us\": {:.1}, \"control_read_p99_us\": {:.1}, \
-             \"degraded_p99_us\": {}, \"degraded_reads\": {}, \
-             \"reconstructed_reads\": {}, \"pages_degraded\": {}, \"rebuild_pages\": {}, \
-             \"rebuild_time_us\": {}, \"pages_lost\": {}, \"host_io_errors\": {}}}{}",
-            r.arch.label(),
-            r.stripe_width,
-            r.completed,
-            r.read_p99_us,
-            r.control_read_p99_us,
-            opt(r.degraded_p99_us),
-            r.degraded_reads,
-            r.reconstructed_reads,
-            r.pages_degraded,
-            r.rebuild_pages,
-            opt(r.rebuild_time_us),
-            r.pages_lost,
-            r.host_io_errors,
-            if i + 1 < records.len() { "," } else { "" },
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The smoke gate: one run per fabric, in each of which the failure
+/// stranded live data that reconstruction served, and the rebuild
+/// re-protected the device within the run with zero loss.
+fn smoke_checks(records: &[RebuildRecord]) -> Vec<(bool, String)> {
+    let count = format!("{} runs, expected 4", records.len());
+    let mut checks = vec![(records.len() == 4, count)];
+    checks.extend(records.iter().map(|r| {
+        let served = r.pages_degraded > 0 && r.reconstructed_reads > 0;
+        let tail = r.degraded_p99_us.is_some_and(|p| p > 0.0);
+        let rebuilt = r.rebuild_pages > 0 && r.rebuild_time_us.is_some();
+        let lossless = r.pages_lost == 0 && r.host_io_errors == 0;
+        (served && tail && rebuilt && lossless, format!("{r:?}"))
+    }));
+    checks
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "target/rebuild.json".into());
-    let (requests, widths): (usize, &[u32]) = if smoke { (600, &[2]) } else { (4_000, &[2, 4]) };
+    let results = Results::from_args("rebuild");
+    let (requests, widths): (usize, &[u32]) = if results.smoke {
+        (600, &[2])
+    } else {
+        (4_000, &[2, 4])
+    };
 
     let archs = [
         Architecture::BaseSsd,
@@ -174,59 +167,40 @@ fn main() {
     for &width in widths {
         for arch in archs {
             eprintln!(">>> {} stripe {width}: {requests} requests", arch.label());
-            let run = |fail| match run_cell(arch, width, requests, 0x2EB1, fail) {
-                Ok(r) => {
-                    if !r.oracle.violations.is_empty() {
-                        eprintln!(
-                            "rebuild: {}: oracle violations:\n{}",
-                            arch.label(),
-                            r.oracle.violations.join("\n")
-                        );
-                        std::process::exit(1);
-                    }
-                    r
+            let label = arch.label();
+            let run = |fail| {
+                let r = run_cell(arch, width, requests, 0x2EB1, fail)
+                    .unwrap_or_else(|e| results.fail(format!("{label}: {e}")));
+                if !r.oracle.violations.is_empty() {
+                    let violations = r.oracle.violations.join("\n");
+                    results.fail(format!("{label}: oracle violations:\n{violations}"));
                 }
-                Err(e) => {
-                    eprintln!("rebuild: {}: {e}", arch.label());
-                    std::process::exit(1);
-                }
+                r
             };
             let control = run(false);
             let report = run(true);
-            match record(arch, width, &report, &control) {
-                Ok(rec) => {
-                    println!(
-                        "{:<14} stripe {} read-p99 {:>8.1}µs (healthy {:>8.1}µs, \
-                         x{:.2}) degraded-p99 {:>8}µs ({} reads, {} reconstructions) \
-                         rebuilt {} pages in {}µs, lost {}",
-                        rec.arch.label(),
-                        rec.stripe_width,
-                        rec.read_p99_us,
-                        rec.control_read_p99_us,
-                        rec.read_p99_us / rec.control_read_p99_us,
-                        opt(rec.degraded_p99_us),
-                        rec.degraded_reads,
-                        rec.reconstructed_reads,
-                        rec.rebuild_pages,
-                        opt(rec.rebuild_time_us),
-                        rec.pages_lost,
-                    );
-                    records.push(rec);
-                }
-                Err(e) => {
-                    eprintln!("rebuild: {e}");
-                    std::process::exit(1);
-                }
-            }
+            let rec = record(arch, width, &report, &control).unwrap_or_else(|e| results.fail(e));
+            println!(
+                "{:<14} stripe {} read-p99 {:>8.1}µs (healthy {:>8.1}µs, \
+                 x{:.2}) degraded-p99 {:>8}µs ({} reads, {} reconstructions) \
+                 rebuilt {} pages in {}µs, lost {}",
+                rec.arch.label(),
+                rec.stripe_width,
+                rec.read_p99_us,
+                rec.control_read_p99_us,
+                rec.read_p99_us / rec.control_read_p99_us,
+                Json::fixed(rec.degraded_p99_us, 1),
+                rec.degraded_reads,
+                rec.reconstructed_reads,
+                rec.rebuild_pages,
+                Json::fixed(rec.rebuild_time_us, 1),
+                rec.pages_lost,
+            );
+            records.push(rec);
         }
     }
 
-    let json = to_json(&records);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write rebuild report");
-    eprintln!("wrote {out_path}");
+    let body = obj! { runs: Json::array(&records, RebuildRecord::to_json) };
+    results.write("target/rebuild.json", "nssd-bench-rebuild/1", body, 2);
+    results.smoke_gate(|| smoke_checks(&records));
 }

@@ -9,6 +9,7 @@ use nssd_workloads::{PaperWorkload, SyntheticPattern, SyntheticSpec};
 
 use crate::setup::{self, geomean};
 use crate::table::{fmt_ratio, fmt_us, Table};
+use nssd_sim::Pool;
 
 /// One rendered experiment: a caption-tagged set of tables plus notes.
 #[derive(Debug, Clone)]
@@ -276,7 +277,7 @@ fn no_gc_reports() -> &'static SuiteReports {
                 })
             })
             .collect();
-        let mut reports = nssd_sim::scoped_map(jobs).into_iter();
+        let mut reports = Pool::from_env().map(jobs).into_iter();
         suite
             .iter()
             .map(|(w, _)| {
@@ -352,7 +353,7 @@ pub fn fig15_throughput() -> Experiment {
             })
         })
         .collect();
-    let mut reports = nssd_sim::scoped_map(jobs).into_iter();
+    let mut reports = Pool::from_env().map(jobs).into_iter();
     for (w, _) in &suite {
         let mut row = vec![w.name().to_string()];
         let mut base_kiops = 0.0f64;
@@ -454,7 +455,7 @@ pub fn fig04_bandwidth_sweep() -> Experiment {
             })
         })
         .collect();
-    let mut reports = nssd_sim::scoped_map(jobs).into_iter();
+    let mut reports = Pool::from_env().map(jobs).into_iter();
     for (w, _) in &suite {
         let mut row = vec![w.name().to_string()];
         let mut base_mean = 0u64;
@@ -510,7 +511,7 @@ fn synthetic_latency_table(policy: AllocPolicy) -> Table {
             })
         })
         .collect();
-    let mut reports = nssd_sim::scoped_map(jobs).into_iter();
+    let mut reports = Pool::from_env().map(jobs).into_iter();
     for (pattern, arch, _, _) in &rows {
         let mut row = vec![pattern.label().to_string(), arch.label().to_string()];
         for _ in depths {

@@ -9,6 +9,7 @@ use nssd_workloads::PaperWorkload;
 use crate::experiments::Experiment;
 use crate::setup;
 use crate::table::{fmt_ratio, fmt_us, Table};
+use nssd_sim::Pool;
 
 /// E1: interconnect energy per host byte — the paper's §V-A argument that
 /// multi-hop NoSSD topologies cost I/O energy per hop.
@@ -32,7 +33,7 @@ pub fn ext_energy() -> Experiment {
             move || run_trace(setup::io_config(arch), trace).expect("energy run")
         })
         .collect();
-    let reports = nssd_sim::scoped_map(jobs);
+    let reports = Pool::from_env().map(jobs);
     let mut base_pj = 0.0f64;
     for (arch, r) in Architecture::with_strawmen().into_iter().zip(&reports) {
         let e = r.energy;
@@ -94,7 +95,7 @@ pub fn ext_hybrid_ecc() -> Experiment {
             }
         })
         .collect();
-    for (ecc, r) in modes.iter().zip(nssd_sim::scoped_map(jobs).iter()) {
+    for (ecc, r) in modes.iter().zip(Pool::from_env().map(jobs).iter()) {
         let h_gc_busy: f64 = r.channel_util.gc.iter().flatten().sum();
         t.row(vec![
             ecc.mode.to_string(),
@@ -145,7 +146,7 @@ pub fn ext_channel_sliced() -> Experiment {
         })
         .collect();
     let mut base = 0.0f64;
-    for (arch, r) in arches.into_iter().zip(nssd_sim::scoped_map(jobs).iter()) {
+    for (arch, r) in arches.into_iter().zip(Pool::from_env().map(jobs).iter()) {
         let mean = r.all.mean.as_ns() as f64;
         if arch == Architecture::BaseSsd {
             base = mean;

@@ -13,6 +13,7 @@ use nssd_workloads::{PaperWorkload, SyntheticPattern, SyntheticSpec};
 use crate::experiments::Experiment;
 use crate::setup::{self, geomean};
 use crate::table::{fmt_ratio, fmt_us, Table};
+use nssd_sim::Pool;
 
 /// The architectures the paper carries into the GC study.
 pub fn gc_architectures() -> [Architecture; 3] {
@@ -80,7 +81,7 @@ pub fn fig18_gc_synthetic() -> Experiment {
             }
         })
         .collect();
-    let reports = nssd_sim::scoped_map(jobs);
+    let reports = Pool::from_env().map(jobs);
     let mut base_mean = 0.0f64;
     for ((metric, arch, policy, _, _), r) in cells.iter().zip(&reports) {
         let mean = if *metric == "read" {
@@ -143,7 +144,7 @@ fn gc_trace_reports() -> &'static Vec<(GcRunKey, SimReport)> {
                 }
             })
             .collect();
-        keys.into_iter().zip(nssd_sim::scoped_map(jobs)).collect()
+        keys.into_iter().zip(Pool::from_env().map(jobs)).collect()
     })
 }
 
@@ -292,7 +293,7 @@ pub fn plan_ablation_reports(requests: usize) -> Vec<(GcPlanSpec, SimReport)> {
             }
         })
         .collect();
-    grid.into_iter().zip(nssd_sim::scoped_map(jobs)).collect()
+    grid.into_iter().zip(Pool::from_env().map(jobs)).collect()
 }
 
 /// Composed-plan ablation: the victim × placement × preemption grid on

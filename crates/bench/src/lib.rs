@@ -22,6 +22,7 @@ pub mod extensions;
 pub mod gc_experiments;
 pub mod queuebench;
 pub mod reliability;
+pub mod results;
 pub mod setup;
 mod table;
 pub mod tenants;

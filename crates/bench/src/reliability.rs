@@ -8,7 +8,7 @@
 //! corruption is *silent*.
 
 use nssd_core::{run_trace, Architecture, SsdConfig};
-use nssd_sim::SimTime;
+use nssd_sim::{Pool, SimTime};
 use nssd_workloads::PaperWorkload;
 
 use crate::experiments::Experiment;
@@ -69,7 +69,7 @@ pub fn fault_sweep() -> Experiment {
             move || run_trace(faulty_config(arch, rber, 0.0), trace).expect("rber run")
         })
         .collect();
-    for (&(arch, rber), r) in flash_cells.iter().zip(nssd_sim::scoped_map(jobs).iter()) {
+    for (&(arch, rber), r) in flash_cells.iter().zip(Pool::from_env().map(jobs).iter()) {
         let rel = r.reliability;
         flash_t.row(vec![
             arch.label().to_string(),
@@ -103,7 +103,7 @@ pub fn fault_sweep() -> Experiment {
             move || run_trace(faulty_config(arch, 0.0, ber), trace).expect("link run")
         })
         .collect();
-    for (&(arch, ber), r) in link_cells.iter().zip(nssd_sim::scoped_map(jobs).iter()) {
+    for (&(arch, ber), r) in link_cells.iter().zip(Pool::from_env().map(jobs).iter()) {
         let rel = r.reliability;
         link_t.row(vec![
             arch.label().to_string(),
@@ -140,7 +140,7 @@ pub fn fault_sweep() -> Experiment {
         .collect();
     for (arch, r) in fault_architectures()
         .into_iter()
-        .zip(nssd_sim::scoped_map(jobs).iter())
+        .zip(Pool::from_env().map(jobs).iter())
     {
         chip_t.row(vec![
             arch.label().to_string(),

@@ -17,6 +17,7 @@ use nssd_workloads::{tail_resolvable, TenantMix};
 use crate::experiments::Experiment;
 use crate::setup;
 use crate::table::{fmt_us, Table};
+use nssd_sim::Pool;
 
 /// Requests per tenant per cell; override with `NSSD_TENANT_REQUESTS`.
 pub fn tenant_requests_per_run() -> usize {
@@ -102,7 +103,7 @@ pub fn tenant_interference() -> Experiment {
         .iter()
         .map(|&(arch, sched)| move || run_cell(arch, sched, requests))
         .collect();
-    let reports = nssd_sim::scoped_map(jobs);
+    let reports = Pool::from_env().map(jobs);
     let mut table = Table::new(vec![
         "arch",
         "scheduler",

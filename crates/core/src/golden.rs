@@ -16,11 +16,10 @@
 //! git diff tests/golden/   # review, then commit
 //! ```
 
-use std::fmt::Write as _;
-
 use nssd_faults::ChipFailureSpec;
 use nssd_ftl::{GcPlanSpec, GcPolicy, RedundancyConfig};
-use nssd_sim::SimTime;
+use nssd_sim::json::{self, Json};
+use nssd_sim::{obj, SimTime};
 use nssd_workloads::{PaperWorkload, TenantMix};
 
 use crate::{
@@ -278,223 +277,114 @@ pub fn matrix() -> Vec<GoldenCase> {
     cases
 }
 
-/// Canonical float rendering: Rust's shortest-roundtrip `Display`, with
-/// negative zero folded into `0` so the output is a function of the value.
-fn jf(x: f64) -> String {
-    if x == 0.0 {
-        "0".to_string()
-    } else {
-        format!("{x}")
+fn tenant(t: &TenantSummary) -> Json {
+    obj! {
+        name: t.name.as_str(), weight: t.weight, slo_latency_ns: t.slo_latency.as_ns(),
+        completed: t.completed, bytes: t.bytes,
+        all: latency(&t.all), read: latency(&t.read), write: latency(&t.write),
+        slo_violations: t.slo_violations, mean_queue_delay_ns: t.mean_queue_delay.as_ns(),
+        last_completion_ns: t.last_completion.as_ns(),
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+fn latency(l: &LatencySummary) -> Json {
+    obj! {
+        count: l.count, mean_ns: l.mean.as_ns(), p50_ns: l.p50.as_ns(), p95_ns: l.p95.as_ns(),
+        p99_ns: l.p99.as_ns(), p999_ns: l.p999.as_ns(), max_ns: l.max.as_ns(),
     }
-    out.push('"');
-    out
-}
-
-fn jlist<T, F: Fn(&T) -> String>(items: &[T], f: F) -> String {
-    let body: Vec<String> = items.iter().map(f).collect();
-    format!("[{}]", body.join(","))
-}
-
-fn tenant(t: &TenantSummary) -> String {
-    format!(
-        "{{\"name\":{},\"weight\":{},\"slo_latency_ns\":{},\"completed\":{},\"bytes\":{},\
-         \"all\":{},\"read\":{},\"write\":{},\"slo_violations\":{},\
-         \"mean_queue_delay_ns\":{},\"last_completion_ns\":{}}}",
-        jstr(&t.name),
-        t.weight,
-        t.slo_latency.as_ns(),
-        t.completed,
-        t.bytes,
-        latency(&t.all),
-        latency(&t.read),
-        latency(&t.write),
-        t.slo_violations,
-        t.mean_queue_delay.as_ns(),
-        t.last_completion.as_ns()
-    )
-}
-
-fn latency(l: &LatencySummary) -> String {
-    format!(
-        "{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\
-         \"p999_ns\":{},\"max_ns\":{}}}",
-        l.count,
-        l.mean.as_ns(),
-        l.p50.as_ns(),
-        l.p95.as_ns(),
-        l.p99.as_ns(),
-        l.p999.as_ns(),
-        l.max.as_ns()
-    )
 }
 
 /// Channel utilization is snapshotted as per-channel busy-fraction *totals*
 /// (the sum over time windows) per traffic class: the imbalance signal the
 /// report exists for, without committing hundreds of per-window floats.
-fn util(u: &ChannelUtilSummary) -> String {
-    let totals = |per: &Vec<Vec<f64>>| jlist(per, |ch: &Vec<f64>| jf(ch.iter().sum::<f64>()));
-    format!(
-        "{{\"window_ns\":{},\"read\":{},\"write\":{},\"gc\":{}}}",
-        u.window.as_ns(),
-        totals(&u.read),
-        totals(&u.write),
-        totals(&u.gc)
-    )
+fn util(u: &ChannelUtilSummary) -> Json {
+    let totals = |per: &Vec<Vec<f64>>| Json::array(per, |ch| ch.iter().sum::<f64>().into());
+    obj! {
+        window_ns: u.window.as_ns(),
+        read: totals(&u.read), write: totals(&u.write), gc: totals(&u.gc),
+    }
 }
 
 /// Serializes a [`SimReport`] to canonical JSON (fixed key order, stable
-/// number formatting) — the golden-snapshot representation.
+/// number formatting) — the golden-snapshot representation: one top-level
+/// field per line, each field's value compact on its line.
 ///
 /// The report's `engine` block is deliberately *not* serialized: its
 /// wall-clock is host time (different every run), and even the
 /// deterministic event count would force a re-bless of every committed
 /// snapshot on any engine bookkeeping change. Golden snapshots pin
 /// simulated behaviour, not execution metrics.
-// Newlines are canonical bytes of the snapshot format, spelled out where the
-// text is produced rather than hidden inside writeln!.
-#[allow(clippy::write_with_newline)]
 pub fn canonical_json(r: &SimReport) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\n  \"architecture\": {},\n  \"completed\": {},\n  \"unmapped_reads\": {},\n  \
-         \"first_arrival_ns\": {},\n  \"last_completion_ns\": {},\n",
-        jstr(&r.architecture.to_string()),
-        r.completed,
-        r.unmapped_reads,
-        r.first_arrival.as_ns(),
-        r.last_completion.as_ns()
-    );
-    let _ = write!(
-        s,
-        "  \"all\": {},\n  \"read\": {},\n  \"write\": {},\n",
-        latency(&r.all),
-        latency(&r.read),
-        latency(&r.write)
-    );
-    let _ = write!(
-        s,
-        "  \"gc\": {{\"events\":{},\"total_time_ns\":{},\"mean_time_ns\":{},\
-         \"pages_copied\":{},\"blocks_erased\":{}}},\n",
-        r.gc.events,
-        r.gc.total_time.as_ns(),
-        r.gc.mean_time.as_ns(),
-        r.gc.pages_copied,
-        r.gc.blocks_erased
-    );
-    let _ = write!(
-        s,
-        "  \"ftl\": {{\"host_writes\":{},\"gc_relocations\":{},\"erases\":{},\
-         \"blocks_retired\":{},\"gc_triggers\":{}}},\n",
-        r.ftl.host_writes,
-        r.ftl.gc_relocations,
-        r.ftl.erases,
-        r.ftl.blocks_retired,
-        r.ftl.gc_triggers
-    );
-    let _ = write!(s, "  \"channel_util\": {},\n", util(&r.channel_util));
-    let _ = write!(
-        s,
-        "  \"energy\": {{\"h_channel_mj\":{},\"v_channel_mj\":{},\"mesh_mj\":{},\
-         \"host_bytes\":{}}},\n",
-        jf(r.energy.h_channel_mj),
-        jf(r.energy.v_channel_mj),
-        jf(r.energy.mesh_mj),
-        r.energy.host_bytes
-    );
-    let _ = write!(
-        s,
-        "  \"wear\": {{\"min\":{},\"max\":{},\"mean\":{},\"std_dev\":{},\"per_way_mean\":{}}},\n",
-        r.wear.min,
-        r.wear.max,
-        jf(r.wear.mean),
-        jf(r.wear.std_dev),
-        jlist(&r.wear.per_way_mean, |x| jf(*x))
-    );
+    let (gc, ftl, energy, wear, rel) = (&r.gc, &r.ftl, &r.energy, &r.wear, &r.reliability);
+    let mut doc = obj! {
+        architecture: r.architecture.to_string(),
+        completed: r.completed,
+        unmapped_reads: r.unmapped_reads,
+        first_arrival_ns: r.first_arrival.as_ns(),
+        last_completion_ns: r.last_completion.as_ns(),
+        all: latency(&r.all),
+        read: latency(&r.read),
+        write: latency(&r.write),
+        gc: obj! {
+            events: gc.events, total_time_ns: gc.total_time.as_ns(),
+            mean_time_ns: gc.mean_time.as_ns(), pages_copied: gc.pages_copied,
+            blocks_erased: gc.blocks_erased,
+        },
+        ftl: obj! {
+            host_writes: ftl.host_writes, gc_relocations: ftl.gc_relocations, erases: ftl.erases,
+            blocks_retired: ftl.blocks_retired, gc_triggers: ftl.gc_triggers,
+        },
+        channel_util: util(&r.channel_util),
+        energy: obj! {
+            h_channel_mj: energy.h_channel_mj, v_channel_mj: energy.v_channel_mj,
+            mesh_mj: energy.mesh_mj, host_bytes: energy.host_bytes,
+        },
+        wear: obj! {
+            min: wear.min, max: wear.max, mean: wear.mean, std_dev: wear.std_dev,
+            per_way_mean: Json::array(&wear.per_way_mean, |&x| x.into()),
+        },
+    };
     // Emitted only for wear-observing GC plans that actually ran GC: the
     // legacy-policy snapshots predate the block and must stay byte-identical.
-    if r.wear_tracked && r.gc.events > 0 {
-        let _ = write!(
-            s,
-            "  \"wear_detail\": {{\"min\":{},\"max\":{},\"mean\":{},\"spread\":{}}},\n",
-            r.wear.min,
-            r.wear.max,
-            jf(r.wear.mean),
-            r.wear.spread()
-        );
+    if r.wear_tracked && gc.events > 0 {
+        let detail = obj! { min: wear.min, max: wear.max, mean: wear.mean, spread: wear.spread() };
+        doc.push("wear_detail", detail);
     }
-    let _ = write!(
-        s,
-        "  \"reliability\": {{\"read_retries\":{},\"soft_decodes\":{},\
-         \"uncorrectable_reads\":{},\"retransmissions\":{},\"silent_corruptions\":{},\
-         \"grown_bad_blocks\":{},\"chip_failures\":{}}},\n",
-        r.reliability.read_retries,
-        r.reliability.soft_decodes,
-        r.reliability.uncorrectable_reads,
-        r.reliability.retransmissions,
-        r.reliability.silent_corruptions,
-        r.reliability.grown_bad_blocks,
-        r.reliability.chip_failures
-    );
+    let reliability = obj! {
+        read_retries: rel.read_retries, soft_decodes: rel.soft_decodes,
+        uncorrectable_reads: rel.uncorrectable_reads, retransmissions: rel.retransmissions,
+        silent_corruptions: rel.silent_corruptions, grown_bad_blocks: rel.grown_bad_blocks,
+        chip_failures: rel.chip_failures,
+    };
+    doc.push("reliability", reliability);
     // Emitted only for multi-tenant runs: the single-tenant snapshots
     // predate the field and must stay byte-identical.
     if !r.tenants.is_empty() {
-        let _ = write!(s, "  \"tenants\": {},\n", jlist(&r.tenants, tenant));
+        doc.push("tenants", Json::array(&r.tenants, tenant));
     }
     // Emitted only when parity redundancy is configured: the baseline
     // snapshots predate the subsystem and must stay byte-identical. The
     // fault counters that only move under redundancy/failure ride along
     // here rather than widening the pinned reliability block.
     if let Some(red) = &r.redundancy {
-        let jtime = |t: Option<nssd_sim::SimTime>| match t {
-            Some(t) => t.as_ns().to_string(),
-            None => "null".to_string(),
+        let ns = |t: Option<SimTime>| t.map(SimTime::as_ns);
+        let redundancy = obj! {
+            stripe_width: red.stripe_width, degraded: latency(&red.degraded),
+            rebuild_pages: red.rebuild_pages, rebuild_started_ns: ns(red.rebuild_started),
+            rebuild_completed_ns: ns(red.rebuild_completed),
+            pages_degraded: rel.pages_degraded, reconstructed_reads: rel.reconstructed_reads,
+            host_io_errors: rel.host_io_errors, unrecovered_transfers: rel.unrecovered_transfers,
         };
-        let _ = write!(
-            s,
-            "  \"redundancy\": {{\"stripe_width\":{},\"degraded\":{},\"rebuild_pages\":{},\
-             \"rebuild_started_ns\":{},\"rebuild_completed_ns\":{},\"pages_degraded\":{},\
-             \"reconstructed_reads\":{},\"host_io_errors\":{},\"unrecovered_transfers\":{}}},\n",
-            red.stripe_width,
-            latency(&red.degraded),
-            red.rebuild_pages,
-            jtime(red.rebuild_started),
-            jtime(red.rebuild_completed),
-            r.reliability.pages_degraded,
-            r.reliability.reconstructed_reads,
-            r.reliability.host_io_errors,
-            r.reliability.unrecovered_transfers
-        );
+        doc.push("redundancy", redundancy);
     }
-    let _ = write!(
-        s,
-        "  \"oracle\": {{\"enabled\":{},\"checks\":{},\"violations\":{},\
-         \"functional_digest\":{}}}\n}}\n",
-        r.oracle.enabled,
-        r.oracle.checks,
-        jlist(&r.oracle.violations, |v: &String| jstr(v)),
-        jstr(&format!("{:016x}", r.oracle.functional_digest))
-    );
-    s
+    let o = &r.oracle;
+    let oracle = obj! {
+        enabled: o.enabled, checks: o.checks,
+        violations: Json::array(&o.violations, |v| v.as_str().into()),
+        functional_digest: format!("{:016x}", o.functional_digest),
+    };
+    doc.push("oracle", oracle);
+    json::render(&doc, 1)
 }
 
 #[cfg(test)]
@@ -529,22 +419,5 @@ mod tests {
         assert!(a.ends_with("}\n"));
         assert!(a.contains("\"functional_digest\""));
         assert_eq!(a.matches("\"architecture\"").count(), 1);
-    }
-
-    #[test]
-    fn float_rendering_is_canonical() {
-        assert_eq!(jf(0.0), "0");
-        assert_eq!(jf(-0.0), "0");
-        assert_eq!(jf(0.5), "0.5");
-        assert_eq!(jf(1.0), "1");
-        let x = 0.1 + 0.2;
-        assert_eq!(jf(x).parse::<f64>().unwrap(), x, "shortest roundtrip");
-    }
-
-    #[test]
-    fn string_escaping_covers_controls() {
-        assert_eq!(jstr("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(jstr("x\ny"), "\"x\\ny\"");
-        assert_eq!(jstr("\u{1}"), "\"\\u0001\"");
     }
 }

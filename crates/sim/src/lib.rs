@@ -16,6 +16,8 @@
 //! * [`Pool`] — a scoped-thread job pool that fans independent simulation
 //!   cells across cores and returns results in submission order, so parallel
 //!   experiment matrices render byte-identically to serial runs.
+//! * [`json`] — the ordered JSON value and renderer behind every report and
+//!   artifact the workspace writes.
 //!
 //! # Example: a two-stage pipeline
 //!
@@ -56,6 +58,7 @@
 mod check;
 pub mod ckpt;
 mod event;
+pub mod json;
 mod pool;
 mod resource;
 mod rng;
@@ -69,7 +72,7 @@ pub use ckpt::{
     put_u64_slice, take_u64_vec, take_u64_vec_exact, CkptError, CkptReader, CkptWriter,
 };
 pub use event::EventQueue;
-pub use pool::{jobs_from_env, scoped_map, Pool};
+pub use pool::Pool;
 pub use resource::{BandwidthPipe, Reservation, Resource};
 pub use rng::{DetRng, Rng, SampleRange};
 pub use stats::{Histogram, RunningStats};

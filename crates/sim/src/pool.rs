@@ -52,10 +52,14 @@ impl Pool {
         }
     }
 
-    /// A pool sized from the environment: `NSSD_JOBS` if set and parseable,
-    /// otherwise the machine's available parallelism.
+    /// A pool sized from the environment: `NSSD_JOBS` if set and parseable
+    /// to ≥ 1, otherwise [`std::thread::available_parallelism`] (1 if
+    /// unknown).
     pub fn from_env() -> Self {
-        Pool::with_workers(jobs_from_env())
+        match std::env::var("NSSD_JOBS").ok().and_then(|v| v.parse().ok()) {
+            Some(n) if n >= 1 => Pool::with_workers(n),
+            _ => Pool::with_workers(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        }
     }
 
     /// The number of worker threads this pool fans out to.
@@ -104,33 +108,6 @@ impl Pool {
             })
             .collect()
     }
-}
-
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::from_env()
-    }
-}
-
-/// The configured parallelism: `NSSD_JOBS` if set and parseable to ≥ 1,
-/// otherwise [`std::thread::available_parallelism`] (1 if unknown).
-pub fn jobs_from_env() -> usize {
-    match std::env::var("NSSD_JOBS").ok().and_then(|v| v.parse().ok()) {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
-
-/// Fans `jobs` out across the environment-configured worker count and
-/// returns the results in submission order (see [`Pool::map`]).
-pub fn scoped_map<T, F>(jobs: Vec<F>) -> Vec<T>
-where
-    F: FnOnce() -> T + Send,
-    T: Send,
-{
-    Pool::from_env().map(jobs)
 }
 
 #[cfg(test)]

@@ -25,35 +25,12 @@ git diff --exit-code -- tests/golden
 echo "==> perf harness smoke + regression gate"
 # A pinned --smoke run of the perf harness: proves the bin works end-to-end,
 # that parallel output is byte-identical to serial (the bin asserts it), and
-# that the measurement schema is intact. The gate then asserts (a) the queue
-# microbench section exists with a steady-state allocation-free hot loop,
-# and (b) a sanity floor on per-cell events/sec — a catastrophic event-core
-# regression (orders of magnitude, not noise) fails the build. Smoke writes
+# gates (in the bin, on the measured records) on a found baseline, a
+# steady-state allocation-free queue hot loop, and a sanity floor on
+# per-cell events/sec — a catastrophic event-core regression (orders of
+# magnitude, not noise) fails the build. Smoke writes
 # target/BENCH.smoke.json; the committed BENCH.json baseline is untouched.
 NSSD_JOBS=2 cargo run --release -q -p nssd-bench --bin perf -- --smoke
-python3 - <<'EOF'
-import json
-d = json.load(open('target/BENCH.smoke.json'))
-assert d['schema'] == 'nssd-bench-perf/2' and d['cells'], d
-assert d['detected_cpus'] >= 1, d
-assert (d['speedup'] is None) == (not d['speedup_comparable']), d
-if d['speedup'] is not None:
-    assert d['speedup'] > 0, d
-# The committed baseline must have been found and compared against.
-assert d['baseline'] is not None, 'committed BENCH.json baseline missing'
-# Queue microbench: present, and the steady-state hot loop allocation-free.
-q = d['queue']
-for key in ('ops', 'dense_schedule_pop_mops', 'same_tick_burst_mops',
-            'far_future_mix_mops', 'steady_state_allocs_per_op'):
-    assert key in q, (key, q)
-assert q['steady_state_allocs_per_op'] < 0.01, q
-assert q['dense_schedule_pop_mops'] > 1.0, q
-# Per-cell: events/sec floor (CI machines are slow, the floor is coarse)
-# and the allocation counter wired up.
-for cell in d['cells']:
-    assert cell['events_per_sec'] > 200_000, cell
-    assert 'allocs_per_event' in cell, cell
-EOF
 
 echo "==> tenant interference smoke"
 # A small run of the multi-tenant matrix: exercises the NVMe-style frontend,
@@ -66,16 +43,6 @@ echo "==> endurance lifetime smoke"
 # byte-identical), wear accounting, and the windowed tail estimator, and
 # leaves target/lifetime.json as a build artifact.
 cargo run --release -q -p nssd-bench --bin lifetime -- --smoke
-python3 - <<'EOF'
-import json
-d = json.load(open('target/lifetime.json'))
-assert d['experiment'] == 'lifetime', d
-assert len(d['architectures']) == 4, d
-for arch in d['architectures']:
-    assert arch['segments'], arch['architecture']
-    for seg in arch['segments']:
-        assert seg['ckpt_bytes'] > 0 and seg['completed'] > 0, seg
-EOF
 
 echo "==> GC plan ablation smoke"
 # A small run of the composed-plan grid (victim x placement x preemption on
@@ -83,16 +50,6 @@ echo "==> GC plan ablation smoke"
 # the cross-compositions no legacy policy covers, and leaves
 # target/plans.json as a build artifact.
 cargo run --release -q -p nssd-bench --bin plans -- --smoke
-python3 - <<'EOF'
-import json
-d = json.load(open('target/plans.json'))
-assert d['experiment'] == 'plan_ablation', d
-assert len(d['plans']) == 12, d
-names = {p['plan'] for p in d['plans']}
-assert len(names) == 12, names
-for p in d['plans']:
-    assert p['gc_events'] > 0 and p['mean_us'] > 0, p
-EOF
 
 echo "==> degraded-mode rebuild smoke"
 # Parity redundancy under a fail-stop chip failure on every fabric family:
@@ -100,20 +57,16 @@ echo "==> degraded-mode rebuild smoke"
 # background rebuild, and the zero-data-loss accounting end-to-end, and
 # leaves target/rebuild.json as a build artifact.
 cargo run --release -q -p nssd-bench --bin rebuild -- --smoke
-python3 - <<'EOF'
-import json
-d = json.load(open('target/rebuild.json'))
-assert d['experiment'] == 'rebuild', d
-assert len(d['runs']) == 4, d
-for r in d['runs']:
-    # The failure stranded live data and reconstruction served it.
-    assert r['pages_degraded'] > 0 and r['reconstructed_reads'] > 0, r
-    assert r['degraded_p99_us'] is not None and r['degraded_p99_us'] > 0, r
-    # The rebuild re-protected the device within the run: every cell
-    # reports a completed rebuild and zero lost pages.
-    assert r['rebuild_pages'] > 0 and r['rebuild_time_us'] is not None, r
-    assert r['pages_lost'] == 0 and r['host_io_errors'] == 0, r
-EOF
+
+echo "==> bench artifact envelope check"
+# Each bin checks its own records under --smoke; this only confirms every
+# artifact was written, parses as JSON and carries the results envelope.
+for f in target/BENCH.smoke.json target/lifetime.json target/plans.json target/rebuild.json; do
+    test -f "$f" || { echo "missing artifact $f" >&2; exit 1; }
+    python3 -c 'import json, sys
+s = json.load(open(sys.argv[1])).get("schema", "")
+assert isinstance(s, str) and s.startswith("nssd-bench-"), (sys.argv[1], s)' "$f"
+done
 
 echo "==> oracle mutation self-test"
 # Plants a corrupted mapping entry, a dropped GC copy and a valid bit cleared

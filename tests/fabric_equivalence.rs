@@ -39,7 +39,7 @@ fn fabric_backends_reproduce_pre_refactor_snapshots() {
             }
         })
         .collect();
-    for (name, rendered) in networked_ssd::sim::scoped_map(jobs) {
+    for (name, rendered) in networked_ssd::sim::Pool::from_env().map(jobs) {
         let expected = fs::read_to_string(golden_dir().join(&name))
             .unwrap_or_else(|e| panic!("{name}: committed snapshot unreadable: {e}"));
         assert_eq!(
@@ -81,7 +81,10 @@ fn every_architecture_is_deterministic_on_a_mixed_workload() {
             }
         })
         .collect();
-    for (arch, (a, b)) in arches.iter().zip(networked_ssd::sim::scoped_map(jobs)) {
+    for (arch, (a, b)) in arches
+        .iter()
+        .zip(networked_ssd::sim::Pool::from_env().map(jobs))
+    {
         assert_eq!(a.completed, 150, "{arch}");
         assert_eq!(
             canonical_json(&a),

@@ -5,8 +5,8 @@
 //! Any behavioural drift — timing, GC accounting, wear, energy, the
 //! oracle's functional digest — fails this test with the offending file
 //! names; re-bless deliberate changes with
-//! `NSSD_BLESS=1 cargo test --test golden_report` (or the
-//! `bless_goldens` bin) and commit the reviewed diff.
+//! `NSSD_BLESS=1 cargo test --test golden_report` and commit the reviewed
+//! diff. A bless refuses any run the oracle objects to.
 
 use std::fs;
 use std::path::PathBuf;
@@ -41,7 +41,7 @@ fn golden_matrix_matches_committed_snapshots() {
         })
         .collect();
     let mut drifted = Vec::new();
-    for (name, report) in networked_ssd::sim::scoped_map(jobs) {
+    for (name, report) in networked_ssd::sim::Pool::from_env().map(jobs) {
         // Every golden run is also an oracle run: the snapshot gate and the
         // invariant gate share the same executions.
         assert!(report.oracle.enabled, "{name}: oracle not enabled");
