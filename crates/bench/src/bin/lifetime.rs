@@ -22,8 +22,7 @@ use nssd_bench::results::Results;
 use nssd_core::{Architecture, Checkpoint, Drive, SsdConfig, SsdSim};
 use nssd_host::{IoOp, IoRequest};
 use nssd_sim::json::Json;
-use nssd_sim::{obj, DetRng, Histogram, Rng, SimTime};
-use nssd_workloads::{tail_resolvable, WindowedStats};
+use nssd_sim::{obj, DetRng, Histogram, Rng, SimTime, WindowedStats};
 
 /// One architecture's segment-by-segment lifetime record.
 struct LifetimeRecord {
@@ -90,7 +89,7 @@ fn segment_requests(cfg: &SsdConfig, n: usize, seed: u64) -> Vec<IoRequest> {
 }
 
 fn percentile_us(h: &Histogram, p: f64) -> Option<f64> {
-    tail_resolvable(h.count(), p).then(|| h.percentile(p).as_us_f64())
+    h.resolved_percentile(p).map(SimTime::as_us_f64)
 }
 
 fn run_architecture(
@@ -190,8 +189,8 @@ fn run_architecture(
             retired: ftl_stats.blocks_retired,
             seg_p50_us: percentile_us(&delta, 50.0),
             seg_p99_us: percentile_us(&delta, 99.0),
-            win_p50_us: windowed.percentile(50.0).map(|t| t.as_us_f64()),
-            win_p99_us: windowed.percentile(99.0).map(|t| t.as_us_f64()),
+            win_p50_us: windowed.percentile(50.0).map(SimTime::as_us_f64),
+            win_p99_us: windowed.percentile(99.0).map(SimTime::as_us_f64),
             ckpt_bytes: bytes.len(),
         });
     }

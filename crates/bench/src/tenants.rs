@@ -12,12 +12,12 @@ use nssd_core::{
     run_tenants_preconditioned, Architecture, SchedulerKind, SimReport, TenantSummary,
 };
 use nssd_ftl::GcPolicy;
-use nssd_workloads::{tail_resolvable, TenantMix};
+use nssd_workloads::TenantMix;
 
 use crate::experiments::Experiment;
 use crate::setup;
 use crate::table::{fmt_us, Table};
-use nssd_sim::Pool;
+use nssd_sim::{tail_resolvable, Pool};
 
 /// Requests per tenant per cell; override with `NSSD_TENANT_REQUESTS`.
 pub fn tenant_requests_per_run() -> usize {
@@ -62,7 +62,7 @@ fn run_cell(arch: Architecture, sched: SchedulerKind, requests: usize) -> SimRep
 
 /// A tail percentile cell, flagged when the sample count cannot resolve it
 /// (a "p99.9" over fewer than 1000 completions is silently the max —
-/// see `nssd_workloads::tail_support`).
+/// see `nssd_sim::tail_support`).
 fn fmt_tail(value_ns: u64, count: u64, p: f64) -> String {
     if tail_resolvable(count, p) {
         fmt_us(value_ns)

@@ -245,7 +245,8 @@ pub struct SsdConfig {
     /// Intra-SSD parity redundancy (off by default). When enabled, parity
     /// groups of `stripe_width` chips absorb a chip fail-stop: the engine
     /// serves degraded reads by fabric-routed reconstruction and runs a
-    /// paced background rebuild.
+    /// paced background rebuild. When off, a failed chip's live pages are
+    /// lost and reads of them are host I/O errors.
     pub redundancy: RedundancyConfig,
     /// Flash channel transfer rate (MT/s); Table II: 1000.
     pub channel_mts: u64,

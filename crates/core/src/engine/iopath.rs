@@ -41,6 +41,7 @@ impl SsdSim {
         self.trans[t].mesh_ctrl = cmd.ctrl;
         let chip = self.chip_index(addr);
         let fault = self.sample_read_fault(addr);
+        self.trans[t].failed |= fault.uncorrectable;
         let read = self.chips[chip].reserve_read(addr.die, addr.plane, cmd.end);
         let ready = self.apply_read_fault(chip, addr, read.end, fault);
         self.queue.schedule(ready, Event::ArrayDone(t));
@@ -51,7 +52,8 @@ impl SsdSim {
     /// the dead chip. Every survivor pays a full command handshake and
     /// array read; the fabric then routes the gather and the XOR combine
     /// (see [`super::FabricBackend::reserve_reconstruct`]), after which the
-    /// page flows down the normal host-DMA tail.
+    /// page flows down the normal host-DMA tail. An uncorrectable survivor
+    /// read fails the transaction.
     fn start_degraded_read(&mut self, t: usize, addr: PageAddr) {
         let tag = Traffic::io(true).tag();
         let now = self.now;
@@ -67,6 +69,8 @@ impl SsdSim {
             };
             let chip = self.chip_index(s);
             let fault = self.sample_read_fault(s);
+            // One unreadable survivor leaves the XOR short a term.
+            self.trans[t].failed |= fault.uncorrectable;
             let read = self.chips[chip].reserve_read(s.die, s.plane, cmd.end);
             let ready = self.apply_read_fault(chip, s, read.end, fault);
             reads.push(SurvivorRead {

@@ -16,7 +16,7 @@ use std::cell::RefCell;
 
 use nssd_faults::{FaultEngine, ReadFault, ReliabilityStats};
 use nssd_flash::{FlashChip, PageAddr, Pbn, Ppn};
-use nssd_ftl::{FailStopMode, Ftl, FtlConfig, FtlError, Lpn, Relocation};
+use nssd_ftl::{Ftl, FtlConfig, FtlError, Lpn, Relocation};
 use nssd_host::{HostFrontend, HostPipes, IoOp, IoRequest, SchedulerKind, TenantConfig};
 use nssd_oracle::Oracle;
 use nssd_sim::DetRng;
@@ -85,7 +85,7 @@ struct ReqState {
     pages_total: u32,
     pages_done: u32,
     /// Whether any page of this request failed host-visibly (link-retry
-    /// exhaustion, or a strict-fail-stop read of a lost page).
+    /// exhaustion, an uncorrectable read, or a read of a lost page).
     failed: bool,
     /// Whether any page of this request was served by parity
     /// reconstruction (degraded-window latency accounting).
@@ -111,7 +111,8 @@ struct TransState {
     halves_left: u8,
     /// NoSSD only: the controller chosen (greedily) for this transaction.
     mesh_ctrl: u32,
-    /// A CRC-framed leg of this page exhausted its retransmission budget.
+    /// The page failed host-visibly: a CRC-framed leg exhausted its
+    /// retransmission budget, or a read stayed uncorrectable.
     failed: bool,
     /// The mapped page sits on the fail-stopped chip: serve it by parity
     /// reconstruction from the surviving stripe members.
@@ -238,8 +239,8 @@ pub struct SsdSim {
     parity_pending: Vec<u32>,
     /// Per-parity-group rotation position of the next parity write.
     parity_rot: Vec<u32>,
-    /// LPNs lost to a strict fail-stop chip failure, sorted: host reads of
-    /// these complete as host-visible I/O errors.
+    /// LPNs lost with a chip that failed without parity, sorted: host reads
+    /// of these complete as host-visible I/O errors.
     lost_pages: Vec<u64>,
     pub(crate) rng: DetRng,
     // Shadow oracle (None unless `cfg.oracle`), cross-checking every
@@ -691,63 +692,36 @@ impl SsdSim {
         }
     }
 
-    /// Handles the scheduled fail-stop chip failure. Three behaviours:
+    /// Handles the scheduled fail-stop chip failure. The semantics follow
+    /// from the redundancy config (see [`Ftl::fail_chip`]):
     ///
-    /// * **Redundant** (parity enabled): mappings stay in place, reads of
-    ///   the dead chip are served by reconstruction, and a paced background
-    ///   rebuild re-places every degraded page. The oracle is *not*
-    ///   resynced — its content tokens must survive the failure
-    ///   byte-for-byte, which is exactly the zero-silent-loss claim.
-    /// * **Strict** (`strict_fail_stop`, no parity): honest fail-stop — the
-    ///   chip's live pages are immediately unreadable; host reads of them
-    ///   complete as host-visible I/O errors counted in `pages_lost`.
-    /// * **Legacy** (default): live pages are optimistically relocated
-    ///   through the dead chip, untimed — kept because the baseline
-    ///   goldens pin it.
+    /// * **With parity**: mappings stay in place, reads of the dead chip
+    ///   are served by reconstruction, and a paced background rebuild
+    ///   re-places every degraded page. The oracle is *not* resynced — its
+    ///   content tokens must survive the failure byte-for-byte, which is
+    ///   exactly the zero-silent-loss claim.
+    /// * **Without parity**: the chip's live pages are gone; host reads of
+    ///   them complete as host-visible I/O errors.
     fn on_chip_fail(&mut self) {
         let spec = self
             .cfg
             .faults
             .chip_failure
             .expect("ChipFail only scheduled with a spec");
+        let out = self.ftl.fail_chip(spec.channel, spec.way);
+        self.faults.note_chip_failure(out.lost.len() as u64);
         if self.ftl.redundancy().enabled {
-            let out = self
-                .ftl
-                .fail_chip_mode(spec.channel, spec.way, FailStopMode::Redundant);
-            self.faults
-                .note_chip_failure(out.pages_remapped, out.pages_lost);
             self.faults.note_pages_degraded(out.pages_degraded);
             self.start_rebuild();
             return;
         }
-        if self.cfg.faults.strict_fail_stop {
-            // Record which LPNs die with the chip *before* they are
-            // unmapped, so their reads can be failed rather than served as
-            // never-written zeroes.
-            let g = self.cfg.geometry;
-            let mut lost = Vec::new();
-            for raw in 0..g.block_count() {
-                let pbn = Pbn::new(raw);
-                let a = g.block_addr(pbn);
-                if a.channel == spec.channel && a.way == spec.way {
-                    self.ftl
-                        .for_each_live_page(pbn, |lpn, _| lost.push(lpn.raw()));
-                }
-            }
-            lost.sort_unstable();
-            self.lost_pages = lost;
-            let out = self
-                .ftl
-                .fail_chip_mode(spec.channel, spec.way, FailStopMode::Strict);
-            self.faults
-                .note_chip_failure(out.pages_remapped, out.pages_lost);
-        } else {
-            let out = self.ftl.fail_chip(spec.channel, spec.way);
-            self.faults
-                .note_chip_failure(out.pages_remapped, out.pages_lost);
-        }
-        // The failure rewrote (or dropped) mappings outside the observed
-        // event stream: resync the shadow model.
+        // Remember which LPNs died with the chip, so their reads fail
+        // rather than being served as never-written zeroes.
+        let mut lost: Vec<u64> = out.lost.iter().map(|l| l.raw()).collect();
+        lost.sort_unstable();
+        self.lost_pages = lost;
+        // The failure dropped mappings outside the observed event stream:
+        // resync the shadow model.
         if let Some(oracle) = self.oracle.as_mut() {
             oracle.sync_from_ftl(&self.ftl);
         }
@@ -773,7 +747,7 @@ impl SsdSim {
     /// the plane) and the soft-decode latency after the base sense; returns
     /// when the corrected data is actually available. Uncorrectable pages
     /// still pay the full ladder — the device only learns the read failed
-    /// after exhausting it.
+    /// after exhausting it; host reads then fail the transaction.
     pub(crate) fn apply_read_fault(
         &mut self,
         chip: usize,
@@ -1092,10 +1066,9 @@ impl SsdSim {
                 }
                 None => {
                     // Never-written page: served from the controller
-                    // (all-zero data), host DMA only. Under strict
-                    // fail-stop an LPN that died with the chip is unmapped
-                    // too — but its read is an honest I/O error, not
-                    // zeroes.
+                    // (all-zero data), host DMA only. An LPN that died
+                    // with an unprotected chip is unmapped too — but its
+                    // read is an honest I/O error, not zeroes.
                     let lost = self.lost_pages.binary_search(&lpn.raw()).is_ok();
                     self.unmapped_reads += 1;
                     let out = self.host.outbound(

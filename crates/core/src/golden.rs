@@ -63,9 +63,13 @@ pub struct GoldenCase {
     /// The GC plan; with `None` GC is off and the device is not
     /// preconditioned.
     pub plan: Option<GcPlanSpec>,
-    /// When set, enables parity redundancy of this stripe width *and*
-    /// schedules a fail-stop failure of chip (0, 0) mid-run, pinning the
-    /// degraded-read reconstruction path and the fabric-routed rebuild.
+    /// Schedules a fail-stop failure of chip (0, 0) mid-run. Without
+    /// `redundancy` this pins the honest-loss path: the chip's live pages
+    /// are gone and host reads of them fail.
+    pub chip_failure: bool,
+    /// When set, enables parity redundancy of this stripe width, pinning
+    /// (with `chip_failure`) the degraded-read reconstruction path and the
+    /// fabric-routed rebuild.
     pub redundancy: Option<u32>,
 }
 
@@ -103,9 +107,10 @@ impl GoldenCase {
                 })
                 .collect(),
         };
-        let red = match self.redundancy {
-            Some(w) => format!("_red{w}"),
-            None => String::new(),
+        let red = match (self.redundancy, self.chip_failure) {
+            (Some(w), _) => format!("_red{w}"),
+            (None, true) => "_chipfail".to_string(),
+            (None, false) => String::new(),
         };
         format!("{arch}_{policy}_{workload}{red}_s{}.json", self.seed)
     }
@@ -120,9 +125,11 @@ impl GoldenCase {
         cfg.oracle = true;
         if let Some(width) = self.redundancy {
             cfg.redundancy = RedundancyConfig::with_stripe(width);
+        }
+        if self.chip_failure {
             // Roughly a third of the way through the pinned traces: enough
             // writes land on the victim chip first, enough reads arrive
-            // after to exercise reconstruction while the rebuild runs.
+            // after to exercise reconstruction, or loss without parity.
             cfg.faults.chip_failure = Some(ChipFailureSpec {
                 channel: 0,
                 way: 0,
@@ -210,6 +217,7 @@ pub fn matrix() -> Vec<GoldenCase> {
                 requests: 120,
                 tenants: None,
                 plan: None,
+                chip_failure: false,
                 redundancy: None,
             });
         }
@@ -223,6 +231,7 @@ pub fn matrix() -> Vec<GoldenCase> {
                 requests: 120,
                 tenants: None,
                 plan: Some(policy.plan()),
+                chip_failure: false,
                 redundancy: None,
             });
         }
@@ -238,6 +247,7 @@ pub fn matrix() -> Vec<GoldenCase> {
             requests: 120,
             tenants: None,
             plan: Some(plan),
+            chip_failure: false,
             redundancy: None,
         });
     }
@@ -256,6 +266,7 @@ pub fn matrix() -> Vec<GoldenCase> {
             requests: 60,
             tenants: Some(TenantScenario::InterferenceWfq),
             plan: Some(GcPolicy::Parallel.plan()),
+            chip_failure: false,
             redundancy: None,
         });
     }
@@ -271,9 +282,22 @@ pub fn matrix() -> Vec<GoldenCase> {
             requests: 120,
             tenants: None,
             plan: None,
+            chip_failure: true,
             redundancy: Some(2),
         });
     }
+    // The same failure without parity on pnSSD: the honest-loss path,
+    // where the chip's live pages are gone and reads of them fail.
+    cases.push(GoldenCase {
+        architecture: Architecture::PnSsd,
+        workload: PaperWorkload::YcsbA,
+        seed: 29,
+        requests: 120,
+        tenants: None,
+        plan: None,
+        chip_failure: true,
+        redundancy: None,
+    });
     cases
 }
 
@@ -376,6 +400,11 @@ pub fn canonical_json(r: &SimReport) -> String {
             host_io_errors: rel.host_io_errors, unrecovered_transfers: rel.unrecovered_transfers,
         };
         doc.push("redundancy", redundancy);
+    } else if rel.chip_failures > 0 {
+        // Emitted only for a chip failure without parity, for the same
+        // reason: what the failure cost the host.
+        let loss = obj! { pages_lost: rel.pages_lost, host_io_errors: rel.host_io_errors };
+        doc.push("chip_loss", loss);
     }
     let o = &r.oracle;
     let oracle = obj! {

@@ -333,7 +333,7 @@ impl FtlAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BlockState, FailStopMode, FtlConfig, Lpn, WayMask};
+    use crate::{BlockState, FtlConfig, Lpn, WayMask};
     use nssd_flash::{Pbn, Ppn};
     use nssd_sim::{DetRng, Rng};
 
@@ -418,12 +418,7 @@ mod tests {
                     *chip_failed = true;
                     let c = gen.gen_range(0..g.channels as u64) as u32;
                     let w = gen.gen_range(0..g.ways as u64) as u32;
-                    let mode = if gen.gen_bool(0.5) {
-                        FailStopMode::Relocate
-                    } else {
-                        FailStopMode::Strict
-                    };
-                    ftl.fail_chip_mode(c, w, mode);
+                    ftl.fail_chip(c, w);
                 }
             }
         }

@@ -186,39 +186,17 @@ impl FtlStats {
 }
 
 /// The accounting result of handling a fail-stop chip failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ChipFailureOutcome {
-    /// Live pages successfully relocated onto surviving chips.
-    pub pages_remapped: u64,
-    /// Live pages lost because no destination space remained (or, under
-    /// [`FailStopMode::Strict`], because fail-stop makes them unreadable);
-    /// their LPNs are unmapped (subsequent reads see them as never
-    /// written).
-    pub pages_lost: u64,
+    /// LPNs whose only copy lived on the chip, unmapped because no parity
+    /// stripe protects them (empty with redundancy enabled). Listed in the
+    /// order the chip's blocks were walked.
+    pub lost: Vec<Lpn>,
     /// Blocks of the failed chip pulled out of service.
     pub blocks_retired: u64,
-    /// Live pages left mapped on the dead chip under
-    /// [`FailStopMode::Redundant`]: readable only by parity
-    /// reconstruction until rebuild re-places them.
+    /// Live pages left mapped on the dead chip under parity redundancy:
+    /// readable only by reconstruction until rebuild re-places them.
     pub pages_degraded: u64,
-}
-
-/// How [`Ftl::fail_chip_mode`] treats live pages on a fail-stop chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailStopMode {
-    /// Legacy behaviour: live pages are relocated off the dead chip — an
-    /// optimistic model that pretends the dying chip could still be read.
-    /// Kept as the default because the baseline goldens pin it.
-    Relocate,
-    /// Honest fail-stop: every live page on the chip is immediately
-    /// unreadable and is unmapped, counted in
-    /// [`ChipFailureOutcome::pages_lost`].
-    Strict,
-    /// Parity-redundant fail-stop: mappings stay in place and the pages
-    /// are served by reconstruction from surviving stripe members while a
-    /// background rebuild re-places them. Requires
-    /// [`RedundancyConfig::enabled`].
-    Redundant,
 }
 
 /// The flash translation layer.
@@ -255,8 +233,8 @@ pub struct Ftl {
     /// from cold data; empty otherwise, so non-generational configs pay
     /// nothing.
     reloc_gen: Vec<u8>,
-    /// The fail-stopped chip whose live pages are still mapped
-    /// ([`FailStopMode::Redundant`]); cleared when rebuild drains it.
+    /// The fail-stopped chip whose live pages are still mapped (parity
+    /// redundancy); cleared when rebuild drains it.
     dead_chip: Option<(u32, u32)>,
     stats: FtlStats,
 }
@@ -827,36 +805,24 @@ impl Ftl {
         self.stats.blocks_retired += 1;
     }
 
-    /// Handles a fail-stop failure of the chip at (`channel`, `way`) in the
-    /// legacy [`FailStopMode::Relocate`] mode: every live page on the chip
-    /// is relocated onto surviving chips, every chip block is retired, and
-    /// the allocators are fenced off the dead chip. Pages that cannot be
-    /// placed (the survivors are out of space) are unmapped and counted as
-    /// lost. The device continues degraded.
+    /// Handles a fail-stop failure of the chip at (`channel`, `way`). The
+    /// allocators are fenced off the dead chip (open frontiers closed, free
+    /// blocks retired) so no future write lands there. What happens to the
+    /// chip's live pages follows from [`RedundancyConfig::enabled`] alone:
+    ///
+    /// * **Without parity** the array is unreadable, so nothing can be
+    ///   relocated: every live page is lost, its LPN unmapped (and listed
+    ///   in [`ChipFailureOutcome::lost`]), and every chip block retired.
+    /// * **With parity** the mappings stay in place: the pages are served
+    ///   by reconstruction from the surviving stripe members while a
+    ///   background rebuild re-places them. Only blocks with no live data
+    ///   retire now; the rest retire as the rebuild drains them.
     ///
     /// # Panics
     ///
-    /// Panics if the coordinates exceed the geometry.
+    /// Panics if the coordinates exceed the geometry or if a chip is
+    /// already dead.
     pub fn fail_chip(&mut self, channel: u32, way: u32) -> ChipFailureOutcome {
-        self.fail_chip_mode(channel, way, FailStopMode::Relocate)
-    }
-
-    /// [`Ftl::fail_chip`] with an explicit fail-stop semantics mode; see
-    /// [`FailStopMode`] for what happens to the chip's live pages. In every
-    /// mode the allocators are fenced off the dead chip (open frontiers
-    /// closed, free blocks retired) so no future write lands there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinates exceed the geometry, if
-    /// [`FailStopMode::Redundant`] is requested without redundancy enabled,
-    /// or if a chip is already dead.
-    pub fn fail_chip_mode(
-        &mut self,
-        channel: u32,
-        way: u32,
-        mode: FailStopMode,
-    ) -> ChipFailureOutcome {
         let g = self.geometry;
         assert!(
             channel < g.channels && way < g.ways,
@@ -866,12 +832,6 @@ impl Ftl {
             self.dead_chip.is_none(),
             "a chip is already dead; the model handles one failure"
         );
-        if mode == FailStopMode::Redundant {
-            assert!(
-                self.config.redundancy.enabled,
-                "FailStopMode::Redundant requires redundancy to be enabled"
-            );
-        }
         let on_chip = |pbn: Pbn| {
             let a = g.block_addr(pbn);
             a.channel == channel && a.way == way
@@ -881,93 +841,35 @@ impl Ftl {
         self.user_alloc.close_open_blocks(on_chip);
         self.gc_alloc.close_open_blocks(on_chip);
         self.cold_alloc.close_open_blocks(on_chip);
-        let chip_pbns: Vec<Pbn> = (0..g.block_count())
-            .map(Pbn::new)
-            .filter(|&p| on_chip(p))
-            .collect();
         let mut out = ChipFailureOutcome::default();
-        // Retire the chip's Free blocks before relocating, so no relocation
-        // destination can land on the dead chip — this keeps the procedure
-        // safe even when the way cannot be excluded by mask (ways == 1).
-        for &pbn in &chip_pbns {
-            if self.blocks.meta(pbn).state() == BlockState::Free {
-                self.blocks.force_retire(pbn);
-                out.blocks_retired += 1;
-            }
-        }
-        match mode {
-            FailStopMode::Relocate => {
-                let mask = if g.ways > 1 {
-                    WayMask::from_ways([way]).complement(g.ways)
-                } else {
-                    WayMask::all(1)
-                };
-                for &pbn in &chip_pbns {
-                    if self.blocks.meta(pbn).state() == BlockState::Bad {
-                        continue;
-                    }
-                    for (lpn, src) in self.live_pages(pbn) {
-                        match self.relocate(lpn, src, mask) {
-                            Ok(Some(_)) => out.pages_remapped += 1,
-                            Ok(None) => {}
-                            Err(_) => {
-                                self.mapping.unmap(lpn);
-                                self.blocks.invalidate(src);
-                                out.pages_lost += 1;
-                            }
-                        }
-                    }
-                    self.blocks.force_retire(pbn);
-                    out.blocks_retired += 1;
+        let redundant = self.config.redundancy.enabled;
+        for pbn in (0..g.block_count()).map(Pbn::new).filter(|&p| on_chip(p)) {
+            let meta = self.blocks.meta(pbn);
+            match meta.state() {
+                BlockState::Bad => continue,
+                BlockState::Free => {}
+                _ if redundant && meta.valid_count() > 0 => {
+                    out.pages_degraded += meta.valid_count() as u64;
+                    continue;
                 }
-            }
-            FailStopMode::Strict => {
-                // Fail-stop means the array is unreadable: nothing can be
-                // relocated. Every live page is gone.
-                for &pbn in &chip_pbns {
-                    if self.blocks.meta(pbn).state() == BlockState::Bad {
-                        continue;
-                    }
+                _ => {
                     for (lpn, src) in self.live_pages(pbn) {
                         self.mapping.unmap(lpn);
                         self.blocks.invalidate(src);
                         if let Some(gen) = self.reloc_gen.get_mut(lpn.raw() as usize) {
                             *gen = 0;
                         }
-                        out.pages_lost += 1;
-                    }
-                    self.blocks.force_retire(pbn);
-                    out.blocks_retired += 1;
-                }
-            }
-            FailStopMode::Redundant => {
-                // Mappings stay: pages on the dead chip are served by
-                // reconstruction until rebuild re-places them. Only blocks
-                // with no live data retire now; the rest retire as the
-                // rebuild drains them.
-                for &pbn in &chip_pbns {
-                    let meta = self.blocks.meta(pbn);
-                    if matches!(meta.state(), BlockState::Bad | BlockState::Free) {
-                        continue;
-                    }
-                    if meta.valid_count() == 0 {
-                        self.blocks.force_retire(pbn);
-                        out.blocks_retired += 1;
-                    } else {
-                        out.pages_degraded += meta.valid_count() as u64;
+                        out.lost.push(lpn);
                     }
                 }
-                self.dead_chip = Some((channel, way));
             }
+            self.blocks.force_retire(pbn);
+            out.blocks_retired += 1;
+        }
+        if redundant {
+            self.dead_chip = Some((channel, way));
         }
         out
-    }
-
-    /// Checks internal consistency (mapping tables and valid counts agree);
-    /// used by tests and debug assertions.
-    pub fn check_consistency(&self) -> bool {
-        self.mapping.check_consistency()
-            && self.mapping.mapped_pages() == self.blocks.total_valid_pages()
     }
 
     /// Full structural self-check: block-table invariants plus the
@@ -1142,7 +1044,7 @@ mod tests {
         let out = ftl.write(Lpn::new(7)).unwrap();
         assert_eq!(ftl.lookup(Lpn::new(7)), Some(out.ppn));
         assert!(ftl.is_valid(out.ppn));
-        assert!(ftl.check_consistency());
+        assert!(ftl.check_invariants().is_empty());
     }
 
     #[test]
@@ -1153,7 +1055,7 @@ mod tests {
         assert_eq!(second.invalidated, Some(first.ppn));
         assert!(!ftl.is_valid(first.ppn));
         assert!(ftl.is_valid(second.ppn));
-        assert!(ftl.check_consistency());
+        assert!(ftl.check_invariants().is_empty());
     }
 
     #[test]
@@ -1187,7 +1089,7 @@ mod tests {
         // Fill the whole logical space, then overwrite to force garbage.
         ftl.precondition(1.0, 0.5, &mut rng).unwrap();
         assert!(ftl.free_ratio() > 0.0);
-        assert!(ftl.check_consistency());
+        assert!(ftl.check_invariants().is_empty());
         // Every logical page is still readable after GC churn.
         for l in 0..ftl.logical_pages() {
             assert!(ftl.lookup(Lpn::new(l)).is_some(), "lost lpn{l}");
@@ -1256,7 +1158,7 @@ mod tests {
         assert_eq!(ftl.lookup(Lpn::new(5)), Some(moved.dst));
         assert!(!ftl.is_valid(out.ppn));
         assert_eq!(ftl.stats().gc_relocations, 1);
-        assert!(ftl.check_consistency());
+        assert!(ftl.check_invariants().is_empty());
     }
 
     #[test]
@@ -1306,7 +1208,7 @@ mod tests {
             ftl.blocks().retired_blocks() > 0,
             "sustained churn at a 2-cycle endurance limit must retire blocks (eol={eol})"
         );
-        assert!(ftl.check_consistency());
+        assert!(ftl.check_invariants().is_empty());
         for (pbn, meta) in ftl.blocks().iter() {
             if meta.state() == crate::BlockState::Bad {
                 assert!(meta.erase_count() >= 2, "block {pbn} retired early");
@@ -1327,7 +1229,7 @@ mod tests {
         }
         // The device still takes writes.
         ftl.write(Lpn::new(0)).unwrap();
-        assert!(ftl.check_consistency());
+        assert!(ftl.check_invariants().is_empty());
     }
 
     #[test]
@@ -1343,92 +1245,38 @@ mod tests {
     }
 
     #[test]
-    fn fail_chip_remaps_live_data_and_continues() {
-        let mut ftl = tiny_ftl();
-        // Half-fill so the survivors have room for everything.
-        let filled = ftl.logical_pages() / 2;
-        for l in 0..filled {
-            ftl.write(Lpn::new(l)).unwrap();
-        }
-        let g = *ftl.geometry();
-        let out = ftl.fail_chip(0, 1);
-        assert!(out.pages_remapped > 0);
-        assert_eq!(out.pages_lost, 0);
-        assert_eq!(
-            out.blocks_retired,
-            g.block_count() / (g.channels as u64 * g.ways as u64)
-        );
-        // Every logical page survives, and none lives on the dead chip.
-        for l in 0..filled {
-            let ppn = ftl.lookup(Lpn::new(l)).expect("page lost");
-            let a = g.page_addr(ppn);
-            assert!(!(a.channel == 0 && a.way == 1), "lpn{l} on dead chip");
-        }
-        // Writes keep working (with GC reclaiming the shrunken pool) and
-        // avoid the dead chip too.
-        let mut rng = DetRng::seed_from_u64(13);
-        for l in 0..filled {
-            if ftl.needs_gc() {
-                ftl.instant_gc(&mut rng).unwrap();
-            }
-            let w = ftl.write(Lpn::new(l)).unwrap();
-            let a = g.page_addr(w.ppn);
-            assert!(!(a.channel == 0 && a.way == 1));
-        }
-        assert!(ftl.check_consistency());
-    }
-
-    #[test]
-    fn fail_chip_when_survivors_overflow_loses_pages() {
-        let mut ftl = tiny_ftl();
-        // Fill the entire logical space: 87.5% of physical. Losing one of
-        // the four chips leaves 75%, so some pages cannot be placed.
-        for l in 0..ftl.logical_pages() {
-            ftl.write(Lpn::new(l)).unwrap();
-        }
-        let out = ftl.fail_chip(1, 0);
-        assert!(out.pages_lost > 0);
-        // Lost pages read back as unmapped; the rest stay intact.
-        let mut lost = 0u64;
-        for l in 0..ftl.logical_pages() {
-            if ftl.lookup(Lpn::new(l)).is_none() {
-                lost += 1;
-            }
-        }
-        assert_eq!(lost, out.pages_lost);
-        assert!(ftl.check_consistency());
-    }
-
-    #[test]
-    fn fail_chip_strict_loses_every_live_page_on_chip() {
+    fn fail_chip_without_parity_loses_every_live_page_on_chip() {
         let mut ftl = tiny_ftl();
         let filled = ftl.logical_pages() / 2;
         for l in 0..filled {
             ftl.write(Lpn::new(l)).unwrap();
         }
         let g = *ftl.geometry();
-        let on_dead_chip = (0..filled)
+        let mut on_dead_chip: Vec<Lpn> = (0..filled)
+            .map(Lpn::new)
             .filter(|&l| {
-                let a = g.page_addr(ftl.lookup(Lpn::new(l)).unwrap());
+                let a = g.page_addr(ftl.lookup(l).unwrap());
                 a.channel == 0 && a.way == 1
             })
-            .count() as u64;
-        assert!(on_dead_chip > 0, "fill pattern must touch the chip");
-        let out = ftl.fail_chip_mode(0, 1, FailStopMode::Strict);
+            .collect();
+        assert!(!on_dead_chip.is_empty(), "fill pattern must touch the chip");
+        let mut out = ftl.fail_chip(0, 1);
         // Honest fail-stop: nothing was relocated, everything on the chip
-        // is host-visibly gone.
-        assert_eq!(out.pages_remapped, 0);
-        assert_eq!(out.pages_lost, on_dead_chip);
+        // is gone, and exactly those LPNs are reported lost.
+        out.lost.sort_unstable();
+        on_dead_chip.sort_unstable();
+        assert_eq!(out.lost, on_dead_chip);
         assert_eq!(out.pages_degraded, 0);
+        assert_eq!(ftl.dead_chip(), None);
         assert_eq!(
             out.blocks_retired,
             g.block_count() / (g.channels as u64 * g.ways as u64)
         );
         let unmapped = (0..filled)
             .filter(|&l| ftl.lookup(Lpn::new(l)).is_none())
-            .count() as u64;
-        assert_eq!(unmapped, on_dead_chip);
-        assert!(ftl.check_consistency());
+            .count();
+        assert_eq!(unmapped, on_dead_chip.len());
+        assert!(ftl.check_invariants().is_empty());
         // The device still takes writes, and never onto the dead chip.
         let mut rng = DetRng::seed_from_u64(17);
         for l in 0..filled {
@@ -1463,9 +1311,8 @@ mod tests {
             ftl.write(Lpn::new(l)).unwrap();
         }
         let g = *ftl.geometry();
-        let out = ftl.fail_chip_mode(0, 1, FailStopMode::Redundant);
-        assert_eq!(out.pages_remapped, 0);
-        assert_eq!(out.pages_lost, 0);
+        let out = ftl.fail_chip(0, 1);
+        assert!(out.lost.is_empty());
         assert!(out.pages_degraded > 0);
         assert_eq!(ftl.dead_chip(), Some((0, 1)));
         // Every page stays mapped; the ones on the dead chip are flagged
@@ -1491,7 +1338,7 @@ mod tests {
             assert_eq!(s.len(), 1);
             assert_ne!(s[0].channel, 0);
         }
-        assert!(ftl.check_consistency());
+        assert!(ftl.check_invariants().is_empty());
 
         // Simulate a rebuild: re-place every backlog page, retire drained
         // blocks, then clear the dead chip.
@@ -1508,16 +1355,7 @@ mod tests {
             let a = g.page_addr(ppn);
             assert!(!(a.channel == 0 && a.way == 1));
         }
-        assert!(ftl.check_consistency());
-    }
-
-    #[test]
-    fn redundant_mode_requires_redundancy_enabled() {
-        let result = std::panic::catch_unwind(|| {
-            let mut ftl = tiny_ftl();
-            ftl.fail_chip_mode(0, 0, FailStopMode::Redundant);
-        });
-        assert!(result.is_err());
+        assert!(ftl.check_invariants().is_empty());
     }
 
     #[test]
@@ -1530,7 +1368,7 @@ mod tests {
         for l in 0..ftl.logical_pages() {
             ftl.write(Lpn::new(l)).unwrap();
         }
-        ftl.fail_chip_mode(1, 0, FailStopMode::Redundant);
+        ftl.fail_chip(1, 0);
         let mut w = CkptWriter::new();
         ftl.ckpt_save(&mut w);
         let bytes = w.into_bytes();

@@ -57,8 +57,7 @@ pub use allocator::{AllocPolicy, OutOfSpace, PageAllocator, WayMask};
 pub use audit::FtlAudit;
 pub use block::{BlockMeta, BlockState, BlockTable, PlaneAccounting, WearSummary};
 pub use ftl::{
-    ChipFailureOutcome, FailStopMode, Ftl, FtlConfig, FtlError, FtlStats, GcStream, Relocation,
-    WriteOutcome,
+    ChipFailureOutcome, Ftl, FtlConfig, FtlError, FtlStats, GcStream, Relocation, WriteOutcome,
 };
 pub use gc::{GcConfig, GcPolicy, SpatialGroups};
 pub use mapping::{Lpn, MappingTable};
@@ -114,7 +113,7 @@ mod proptests {
                     }
                 }
             }
-            assert!(ftl.check_consistency());
+            assert!(ftl.check_invariants().is_empty());
             for (lpn, ppn) in shadow {
                 assert_eq!(ftl.lookup(lpn), Some(ppn));
                 assert!(ftl.is_valid(ppn));
@@ -162,7 +161,7 @@ mod proptests {
                 }
             }
             assert_eq!(mapped, filled);
-            assert!(ftl.check_consistency());
+            assert!(ftl.check_invariants().is_empty());
         }
     }
 }

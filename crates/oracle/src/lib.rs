@@ -558,7 +558,7 @@ mod tests {
         }
         ftl.debug_swap_mapping(Lpn::new(0), Lpn::new(1));
         // The FTL's own structural check cannot see the corruption...
-        assert!(ftl.check_consistency());
+        assert!(ftl.check_invariants().is_empty());
         // ...the shadow model can.
         oracle.check_host_read(Lpn::new(0), ftl.lookup(Lpn::new(0)), SimTime::from_ns(1));
         assert_eq!(oracle.violations().len(), 1);

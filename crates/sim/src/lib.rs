@@ -10,7 +10,9 @@
 //! * [`Resource`] — a FIFO timeline-reservation server modeling any contended
 //!   unit (flash channel, mesh link, flash plane, DMA pipe); and
 //!   [`BandwidthPipe`], a resource parameterized by byte bandwidth.
-//! * [`Histogram`] / [`RunningStats`] — latency and scalar statistics.
+//! * [`Histogram`] / [`WindowedStats`] / [`RunningStats`] — latency
+//!   statistics (whole-run and sliding-window, with [`tail_support`] gating
+//!   of unresolvable tails) and scalar statistics.
 //! * [`UtilizationRecorder`] — windowed, per-traffic-class busy tracking used
 //!   for the paper's channel-imbalance analysis (Fig 3).
 //! * [`Pool`] — a scoped-thread job pool that fans independent simulation
@@ -75,7 +77,9 @@ pub use event::EventQueue;
 pub use pool::Pool;
 pub use resource::{BandwidthPipe, Reservation, Resource};
 pub use rng::{DetRng, Rng, SampleRange};
-pub use stats::{Histogram, RunningStats};
+pub use stats::{
+    exact_percentile, tail_resolvable, tail_support, Histogram, RunningStats, WindowedStats,
+};
 pub use time::SimTime;
 pub use util::UtilizationRecorder;
 

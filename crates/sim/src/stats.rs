@@ -4,10 +4,73 @@
 //! samples: exact below 64 ns, then 32 sub-buckets per octave, giving a
 //! worst-case relative quantile error of about 3% — far below the
 //! run-to-run variance of any of the paper's experiments — in a few KiB of
-//! memory regardless of sample count. [`RunningStats`] is a Welford
+//! memory regardless of sample count. [`WindowedStats`] is a ring of
+//! histograms over the most recent samples. [`RunningStats`] is a Welford
 //! mean/variance accumulator for scalar series.
+//!
+//! Deep tails are reported only when the sample count resolves them:
+//! [`tail_support`] gives the smallest count at which a percentile is its
+//! own order statistic rather than an alias for the maximum, and
+//! [`Histogram::resolved_percentile`] and [`WindowedStats::percentile`]
+//! return `None` below it.
+
+use std::collections::VecDeque;
 
 use crate::{CkptError, CkptReader, CkptWriter, SimTime};
+
+/// Smallest sample count at which the `p`-th percentile is a distinct order
+/// statistic rather than an alias for the maximum.
+///
+/// Nearest-rank percentiles with `rank = ⌈p/100 · n⌉` collapse onto the max
+/// whenever `n < 100/(100−p)`: a "p999" over 50 completions is silently the
+/// p100. This returns that threshold — 2 for p50, 100 for p99, 1000 for
+/// p99.9 — so reporting code can flag (or skip) unresolvable tails instead
+/// of presenting them as measurements.
+///
+/// # Panics
+///
+/// Panics unless `0 < p ≤ 100`.
+pub fn tail_support(p: f64) -> u64 {
+    assert!(p > 0.0 && p <= 100.0, "percentile {p} out of (0, 100]");
+    if p >= 100.0 {
+        return 1; // the max is exact with any sample at all
+    }
+    // Nudge below the quotient before the ceil: 100/(100−99.9) lands at
+    // 1000.0000000000568 in binary and must still mean 1000, not 1001.
+    ((100.0 / (100.0 - p)) - REPR_EPS).ceil().max(1.0) as u64
+}
+
+/// Slack absorbing binary-representation noise in percentile arithmetic
+/// (e.g. `99.9/100 × 2000 = 1998.0000000000001`), far below any
+/// meaningful rank fraction.
+const REPR_EPS: f64 = 1e-9;
+
+/// Whether `count` samples are enough to resolve the `p`-th percentile as
+/// its own order statistic (see [`tail_support`]).
+pub fn tail_resolvable(count: u64, p: f64) -> bool {
+    count >= tail_support(p)
+}
+
+/// Nearest-rank percentile over raw samples: `None` when `samples` is
+/// empty, never panics, never reads out of range.
+///
+/// With fewer than [`tail_support`]`(p)` samples the result degenerates to
+/// the maximum by construction — check [`tail_resolvable`] before treating
+/// a deep tail as meaningful.
+///
+/// # Panics
+///
+/// Panics unless `0 < p ≤ 100`.
+pub fn exact_percentile(samples: &[SimTime], p: f64) -> Option<SimTime> {
+    assert!(p > 0.0 && p <= 100.0, "percentile {p} out of (0, 100]");
+    if samples.is_empty() {
+        return None;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let rank = ((p / 100.0) * sorted.len() as f64 - REPR_EPS).ceil() as usize;
+    Some(sorted[rank.clamp(1, sorted.len()) - 1])
+}
 
 const LINEAR_LIMIT: u64 = 64;
 const SUB_BUCKETS: u64 = 32;
@@ -143,6 +206,18 @@ impl Histogram {
             }
         }
         SimTime::from_ns(self.max)
+    }
+
+    /// The `p`-th percentile as [`Histogram::percentile`] reports it, or
+    /// `None` when the sample count cannot resolve `p` as its own order
+    /// statistic (see [`tail_resolvable`]) — a p99.9 over 50 samples is an
+    /// alias for the maximum, not a measurement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `(0, 100]`.
+    pub fn resolved_percentile(&self, p: f64) -> Option<SimTime> {
+        tail_resolvable(self.count, p).then(|| self.percentile(p))
     }
 
     /// Exports `(latency, cumulative_fraction)` points for CDF plotting
@@ -293,6 +368,126 @@ impl Default for Histogram {
     }
 }
 
+/// Streaming quantile estimator over a sliding window of the most recent
+/// samples, in memory fixed at construction: a ring of `retain + 1`
+/// [`Histogram`]s, so its quantiles carry the histogram's ~3% resolution.
+///
+/// Samples fill count-based windows of `window_len` each; once more than
+/// `retain` windows are full, the oldest is evicted wholesale. Queries see
+/// the retained suffix of the stream: between `retain × window_len` and
+/// `(retain + 1) × window_len` of the most recent samples. Until the first
+/// eviction every query equals the same query on one [`Histogram`] fed
+/// every sample.
+///
+/// # Examples
+///
+/// ```
+/// use nssd_sim::{SimTime, WindowedStats};
+///
+/// let mut w = WindowedStats::new(1000, 4);
+/// for us in 1..=2000u64 {
+///     w.record(SimTime::from_us(us));
+/// }
+/// let p50 = w.percentile(50.0).unwrap().as_us_f64();
+/// assert!((p50 - 1000.0).abs() / 1000.0 < 0.032);
+/// // p99.9 over 2000 retained samples resolves; over 100 it would not.
+/// assert!(w.percentile(99.9).is_some());
+/// ```
+#[derive(Debug, Clone)]
+pub struct WindowedStats {
+    window_len: u64,
+    retain: usize,
+    /// Back is the currently filling window; fronts are full.
+    windows: VecDeque<Histogram>,
+    evicted: u64,
+}
+
+impl WindowedStats {
+    /// Creates an estimator holding up to `retain` full windows of
+    /// `window_len` samples each, plus the window currently filling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window_len` or `retain` is zero.
+    pub fn new(window_len: u64, retain: usize) -> Self {
+        assert!(window_len > 0, "window_len must be positive");
+        assert!(retain > 0, "retain must be positive");
+        let mut windows = VecDeque::with_capacity(retain + 1);
+        windows.push_back(Histogram::new());
+        WindowedStats {
+            window_len,
+            retain,
+            windows,
+            evicted: 0,
+        }
+    }
+
+    /// Records one latency sample.
+    pub fn record(&mut self, sample: SimTime) {
+        if self.windows.back().expect("never empty").count() == self.window_len {
+            self.windows.push_back(Histogram::new());
+            if self.windows.len() > self.retain + 1 {
+                self.evicted += self.windows.pop_front().expect("len > 1").count();
+            }
+        }
+        self.windows.back_mut().expect("never empty").record(sample);
+    }
+
+    /// The retained samples as one histogram.
+    fn merged(&self) -> Histogram {
+        let mut h = Histogram::new();
+        for w in &self.windows {
+            h.merge(w);
+        }
+        h
+    }
+
+    /// Samples currently retained (the sliding window the queries see).
+    pub fn retained(&self) -> u64 {
+        self.windows.iter().map(Histogram::count).sum()
+    }
+
+    /// Samples recorded over the estimator's lifetime.
+    pub fn total_recorded(&self) -> u64 {
+        self.evicted + self.retained()
+    }
+
+    /// Samples that have aged out of the retained window.
+    pub fn evicted(&self) -> u64 {
+        self.evicted
+    }
+
+    /// Samples per window, as configured.
+    pub fn window_len(&self) -> u64 {
+        self.window_len
+    }
+
+    /// Exact mean of the retained samples; [`SimTime::ZERO`] when empty.
+    pub fn mean(&self) -> SimTime {
+        self.merged().mean()
+    }
+
+    /// Exact maximum of the retained samples; [`SimTime::ZERO`] when empty.
+    pub fn max(&self) -> SimTime {
+        self.windows
+            .iter()
+            .map(Histogram::max)
+            .max()
+            .unwrap_or_default()
+    }
+
+    /// The `p`-th percentile of the retained samples (see
+    /// [`Histogram::resolved_percentile`]): `None` when the retained count
+    /// cannot resolve `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < p ≤ 100`.
+    pub fn percentile(&self, p: f64) -> Option<SimTime> {
+        self.merged().resolved_percentile(p)
+    }
+}
+
 /// Welford running mean/variance for floating-point series.
 ///
 /// # Examples
@@ -412,7 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn bucket_index_monotone_and_in_range() {
+    fn bucket_indices_are_monotone_and_in_range() {
         let mut last = 0usize;
         for shift in 0..64u32 {
             let v = 1u64 << shift;
@@ -562,6 +757,148 @@ mod tests {
         assert!((p50 - 500.0).abs() / 500.0 < 0.05, "delta p50 was {p50}us");
         // Reversed arguments are not a prefix.
         assert!(snap.delta_since(&h).is_none());
+    }
+
+    fn ns(samples: &[u64]) -> Vec<SimTime> {
+        samples.iter().copied().map(SimTime::from_ns).collect()
+    }
+
+    #[test]
+    fn tail_support_thresholds() {
+        assert_eq!(tail_support(50.0), 2);
+        assert_eq!(tail_support(95.0), 20);
+        assert_eq!(tail_support(99.0), 100);
+        assert_eq!(tail_support(99.9), 1000);
+        assert_eq!(tail_support(100.0), 1);
+        assert!(tail_resolvable(1000, 99.9));
+        assert!(!tail_resolvable(999, 99.9));
+        assert!(tail_resolvable(1, 100.0));
+    }
+
+    #[test]
+    fn small_sample_p999_degenerates_to_max_but_is_flagged() {
+        // The original defect: a p999 over a handful of completions must not
+        // panic, and must be detectable as an alias for the maximum.
+        let samples = ns(&[10, 20, 30, 40, 50, 60, 70, 80, 90, 100]);
+        let p999 = exact_percentile(&samples, 99.9).unwrap();
+        assert_eq!(p999, SimTime::from_ns(100)); // == max, by construction
+        assert!(!tail_resolvable(samples.len() as u64, 99.9));
+        let mut h = Histogram::new();
+        samples.iter().for_each(|&s| h.record(s));
+        assert_eq!(h.resolved_percentile(99.9), None);
+        assert_eq!(h.resolved_percentile(50.0), Some(h.percentile(50.0)));
+        assert_eq!(Histogram::new().resolved_percentile(100.0), None);
+    }
+
+    #[test]
+    fn resolvable_p999_is_not_the_max() {
+        let samples: Vec<SimTime> = (1..=2000).map(SimTime::from_ns).collect();
+        let p999 = exact_percentile(&samples, 99.9).unwrap();
+        assert_eq!(p999, SimTime::from_ns(1998));
+        assert!(tail_resolvable(samples.len() as u64, 99.9));
+    }
+
+    #[test]
+    fn exact_percentile_nearest_rank() {
+        let samples = ns(&[40, 10, 30, 20]); // unsorted on purpose
+        assert_eq!(exact_percentile(&samples, 50.0), Some(SimTime::from_ns(20)));
+        assert_eq!(exact_percentile(&samples, 75.0), Some(SimTime::from_ns(30)));
+        assert_eq!(
+            exact_percentile(&samples, 100.0),
+            Some(SimTime::from_ns(40))
+        );
+        assert_eq!(exact_percentile(&samples, 0.1), Some(SimTime::from_ns(10)));
+    }
+
+    #[test]
+    fn exact_percentile_empty_and_singleton() {
+        assert_eq!(exact_percentile(&[], 99.9), None);
+        let one = ns(&[7]);
+        for p in [0.1, 50.0, 99.9, 100.0] {
+            assert_eq!(exact_percentile(&one, p), Some(SimTime::from_ns(7)));
+        }
+    }
+
+    #[test]
+    fn exact_percentile_is_monotone_in_p() {
+        let samples: Vec<SimTime> = (0..137).map(|i| SimTime::from_ns(i * 13 % 997)).collect();
+        let mut prev = SimTime::ZERO;
+        for p in 1..=100 {
+            let v = exact_percentile(&samples, p as f64).unwrap();
+            assert!(v >= prev, "p{p} went backwards");
+            prev = v;
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of (0, 100]")]
+    fn exact_percentile_zero_rejected() {
+        exact_percentile(&[SimTime::ZERO], 0.0);
+    }
+
+    #[test]
+    fn windowed_small_samples_refuse_the_deep_tail() {
+        let mut w = WindowedStats::new(64, 4);
+        for us in 1..=50u64 {
+            w.record(SimTime::from_us(us));
+        }
+        assert_eq!(w.percentile(99.0), None, "p99 over 50 samples is the max");
+        assert_eq!(w.percentile(99.9), None);
+        assert!(w.percentile(50.0).is_some());
+        assert_eq!(WindowedStats::new(64, 4).percentile(50.0), None);
+    }
+
+    #[test]
+    fn windowed_eviction_slides_the_window() {
+        let mut w = WindowedStats::new(100, 2);
+        // 1000 samples at 1 µs, then 300 at 1 ms: the retained suffix
+        // (200–300 most recent) is entirely in the 1 ms regime.
+        for _ in 0..1000 {
+            w.record(SimTime::from_us(1));
+        }
+        for _ in 0..300 {
+            w.record(SimTime::from_ms(1));
+        }
+        assert!(w.retained() <= 300);
+        assert!(w.evicted() >= 1000);
+        assert_eq!(w.total_recorded(), 1300);
+        assert_eq!(w.percentile(50.0), Some(SimTime::from_ms(1)));
+        assert_eq!(w.mean(), SimTime::from_ms(1));
+        assert_eq!(w.max(), SimTime::from_ms(1));
+    }
+
+    #[test]
+    fn windowed_equals_one_histogram_until_eviction() {
+        let mut w = WindowedStats::new(1_000, 5);
+        let mut h = Histogram::new();
+        for i in 0..5_000u64 {
+            let s = SimTime::from_ns(1 + i * 7_919 % 100_003);
+            w.record(s);
+            h.record(s);
+        }
+        assert_eq!(w.evicted(), 0);
+        for p in [50.0, 90.0, 99.0, 99.9, 100.0] {
+            assert_eq!(w.percentile(p), Some(h.percentile(p)), "p{p}");
+        }
+        assert_eq!(w.mean(), h.mean());
+        assert_eq!(w.max(), h.max());
+    }
+
+    #[test]
+    fn windowed_memory_is_bounded_by_configuration() {
+        let mut w = WindowedStats::new(10, 3);
+        for i in 0..100_000u64 {
+            w.record(SimTime::from_ns(i % 7_000));
+        }
+        assert!(w.windows.len() <= 4, "ring grew past retain + 1");
+        assert!(w.retained() <= 40);
+        assert_eq!(w.total_recorded(), 100_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "window_len")]
+    fn windowed_zero_window_rejected() {
+        WindowedStats::new(0, 1);
     }
 
     #[test]

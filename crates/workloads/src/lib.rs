@@ -25,7 +25,6 @@
 
 mod import;
 mod stats;
-mod streaming;
 mod suite;
 mod synthetic;
 mod tenants;
@@ -33,8 +32,7 @@ mod trace;
 mod zipf;
 
 pub use import::{import_msr, MsrImportOptions, MsrParseError};
-pub use stats::{exact_percentile, tail_resolvable, tail_support, TraceStats};
-pub use streaming::{WindowedStats, STREAMING_ERROR_BOUND, WINDOW_BUCKETS};
+pub use stats::TraceStats;
 pub use suite::{generate_trace, PaperWorkload, WorkloadSpec, REFERENCE_BYTES_PER_SEC};
 pub use synthetic::{MixedSpec, SyntheticPattern, SyntheticSpec};
 pub use tenants::{TenantMix, TenantSpec, TenantWorkload};

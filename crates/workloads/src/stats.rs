@@ -1,6 +1,5 @@
 //! Trace characterization — the aggregate statistics the synthetic suite is
-//! tuned against (read mix, size distribution, arrival burstiness, skew) —
-//! plus small-sample-honest percentile helpers.
+//! tuned against (read mix, size distribution, arrival burstiness, skew).
 
 use core::fmt;
 use std::collections::HashMap;
@@ -8,60 +7,6 @@ use std::collections::HashMap;
 use nssd_sim::{RunningStats, SimTime};
 
 use crate::Trace;
-
-/// Smallest sample count at which the `p`-th percentile is a distinct order
-/// statistic rather than an alias for the maximum.
-///
-/// Nearest-rank percentiles with `rank = ⌈p/100 · n⌉` collapse onto the max
-/// whenever `n < 100/(100−p)`: a "p999" over 50 completions is silently the
-/// p100. This returns that threshold — 2 for p50, 100 for p99, 1000 for
-/// p99.9 — so reporting code can flag (or skip) unresolvable tails instead
-/// of presenting them as measurements.
-///
-/// # Panics
-///
-/// Panics unless `0 < p ≤ 100`.
-pub fn tail_support(p: f64) -> u64 {
-    assert!(p > 0.0 && p <= 100.0, "percentile {p} out of (0, 100]");
-    if p >= 100.0 {
-        return 1; // the max is exact with any sample at all
-    }
-    // Nudge below the quotient before the ceil: 100/(100−99.9) lands at
-    // 1000.0000000000568 in binary and must still mean 1000, not 1001.
-    ((100.0 / (100.0 - p)) - REPR_EPS).ceil().max(1.0) as u64
-}
-
-/// Slack absorbing binary-representation noise in percentile arithmetic
-/// (e.g. `99.9/100 × 2000 = 1998.0000000000001`), far below any
-/// meaningful rank fraction.
-const REPR_EPS: f64 = 1e-9;
-
-/// Whether `count` samples are enough to resolve the `p`-th percentile as
-/// its own order statistic (see [`tail_support`]).
-pub fn tail_resolvable(count: u64, p: f64) -> bool {
-    count >= tail_support(p)
-}
-
-/// Nearest-rank percentile over raw samples: `None` when `samples` is
-/// empty, never panics, never reads out of range.
-///
-/// With fewer than [`tail_support`]`(p)` samples the result degenerates to
-/// the maximum by construction — check [`tail_resolvable`] before treating
-/// a deep tail as meaningful.
-///
-/// # Panics
-///
-/// Panics unless `0 < p ≤ 100`.
-pub fn exact_percentile(samples: &[SimTime], p: f64) -> Option<SimTime> {
-    assert!(p > 0.0 && p <= 100.0, "percentile {p} out of (0, 100]");
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((p / 100.0) * sorted.len() as f64 - REPR_EPS).ceil() as usize;
-    Some(sorted[rank.clamp(1, sorted.len()) - 1])
-}
 
 /// Aggregate statistics of a block trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,78 +115,6 @@ impl fmt::Display for TraceStats {
 mod tests {
     use super::*;
     use crate::{PaperWorkload, SyntheticPattern, SyntheticSpec};
-
-    fn ns(samples: &[u64]) -> Vec<SimTime> {
-        samples.iter().copied().map(SimTime::from_ns).collect()
-    }
-
-    #[test]
-    fn tail_support_thresholds() {
-        assert_eq!(tail_support(50.0), 2);
-        assert_eq!(tail_support(95.0), 20);
-        assert_eq!(tail_support(99.0), 100);
-        assert_eq!(tail_support(99.9), 1000);
-        assert_eq!(tail_support(100.0), 1);
-        assert!(tail_resolvable(1000, 99.9));
-        assert!(!tail_resolvable(999, 99.9));
-        assert!(tail_resolvable(1, 100.0));
-    }
-
-    #[test]
-    fn small_sample_p999_degenerates_to_max_but_is_flagged() {
-        // The original defect: a p999 over a handful of completions must not
-        // panic, and must be detectable as an alias for the maximum.
-        let samples = ns(&[10, 20, 30, 40, 50, 60, 70, 80, 90, 100]);
-        let p999 = exact_percentile(&samples, 99.9).unwrap();
-        assert_eq!(p999, SimTime::from_ns(100)); // == max, by construction
-        assert!(!tail_resolvable(samples.len() as u64, 99.9));
-    }
-
-    #[test]
-    fn resolvable_p999_is_not_the_max() {
-        let samples: Vec<SimTime> = (1..=2000).map(SimTime::from_ns).collect();
-        let p999 = exact_percentile(&samples, 99.9).unwrap();
-        assert_eq!(p999, SimTime::from_ns(1998));
-        assert!(tail_resolvable(samples.len() as u64, 99.9));
-    }
-
-    #[test]
-    fn exact_percentile_nearest_rank() {
-        let samples = ns(&[40, 10, 30, 20]); // unsorted on purpose
-        assert_eq!(exact_percentile(&samples, 50.0), Some(SimTime::from_ns(20)));
-        assert_eq!(exact_percentile(&samples, 75.0), Some(SimTime::from_ns(30)));
-        assert_eq!(
-            exact_percentile(&samples, 100.0),
-            Some(SimTime::from_ns(40))
-        );
-        assert_eq!(exact_percentile(&samples, 0.1), Some(SimTime::from_ns(10)));
-    }
-
-    #[test]
-    fn exact_percentile_empty_and_singleton() {
-        assert_eq!(exact_percentile(&[], 99.9), None);
-        let one = ns(&[7]);
-        for p in [0.1, 50.0, 99.9, 100.0] {
-            assert_eq!(exact_percentile(&one, p), Some(SimTime::from_ns(7)));
-        }
-    }
-
-    #[test]
-    fn exact_percentile_is_monotone_in_p() {
-        let samples: Vec<SimTime> = (0..137).map(|i| SimTime::from_ns(i * 13 % 997)).collect();
-        let mut prev = SimTime::ZERO;
-        for p in 1..=100 {
-            let v = exact_percentile(&samples, p as f64).unwrap();
-            assert!(v >= prev, "p{p} went backwards");
-            prev = v;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of (0, 100]")]
-    fn percentile_zero_rejected() {
-        exact_percentile(&[SimTime::ZERO], 0.0);
-    }
 
     #[test]
     fn synthetic_sequential_is_fully_sequential() {

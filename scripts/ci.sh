@@ -14,12 +14,17 @@ echo "==> cargo build --release"
 cargo build --workspace --release
 
 echo "==> cargo test"
+# Every test runs once here, the golden_report and oracle suites included.
+# Oracle mutation self-test (tests/oracle.rs): plants a corrupted
+# mapping entry, a dropped GC copy and a valid bit cleared under a live
+# mapping; the shadow oracle must flag each (the structural one at the first
+# erase after the plant), or the invariant layer has gone blind.
 cargo test --workspace --release -q
 
 echo "==> golden snapshot gate"
-# The golden_report suite re-runs the pinned matrix and compares byte-for-byte
-# against tests/golden/; the git check catches a bless that was never committed.
-cargo test --release -q --test golden_report
+# The golden_report suite (run above with the rest of the workspace) re-runs
+# the pinned matrix and compares byte-for-byte against tests/golden/; the git
+# check catches a bless that was never committed.
 git diff --exit-code -- tests/golden
 
 echo "==> perf harness smoke + regression gate"
@@ -67,12 +72,6 @@ for f in target/BENCH.smoke.json target/lifetime.json target/plans.json target/r
 s = json.load(open(sys.argv[1])).get("schema", "")
 assert isinstance(s, str) and s.startswith("nssd-bench-"), (sys.argv[1], s)' "$f"
 done
-
-echo "==> oracle mutation self-test"
-# Plants a corrupted mapping entry, a dropped GC copy and a valid bit cleared
-# under a live mapping; the shadow oracle must flag each (the structural one
-# at the first erase after the plant), or the invariant layer has gone blind.
-cargo test --release -q --test oracle
 
 echo "==> benchmark self-test"
 # The repository benchmark's own checks: exact counts repeat, a held-out

@@ -1,7 +1,8 @@
-//! End-to-end fault-injection behavior: the retry ladder degrades reads,
-//! packetized links recover wire corruption while the dedicated-signal
-//! baseline corrupts silently, bad blocks retire, and a chip fail-stop
-//! remaps live data and continues.
+//! End-to-end fault-injection behavior: the retry ladder degrades reads and
+//! uncorrectable reads fail the host request, packetized links recover wire
+//! corruption while the dedicated-signal baseline corrupts silently, bad
+//! blocks retire, and a chip fail-stop without parity loses its live data,
+//! fails those reads and continues degraded.
 
 use networked_ssd::faults::ChipFailureSpec;
 use networked_ssd::sim::SimTime;
@@ -112,7 +113,7 @@ fn grown_bad_blocks_retire_during_gc() {
 }
 
 #[test]
-fn chip_failure_remaps_live_data_and_continues() {
+fn chip_failure_loses_live_data_fails_those_reads_and_finishes_degraded() {
     for arch in [Architecture::BaseSsd, Architecture::PnSsdSplit] {
         let mut cfg = no_gc_config(arch);
         cfg.faults.chip_failure = Some(ChipFailureSpec {
@@ -123,9 +124,32 @@ fn chip_failure_remaps_live_data_and_continues() {
         let trace = trace_for(&cfg, 300);
         let r = run_trace(cfg, &trace).unwrap();
         assert_eq!(r.reliability.chip_failures, 1, "{arch}");
-        assert!(r.reliability.pages_remapped > 0, "{arch}");
+        // A dead chip cannot be read: nothing is relocated, every live page
+        // on it is lost, and host reads of those pages are I/O errors.
+        assert!(r.reliability.pages_lost > 0, "{arch}");
+        assert!(r.reliability.host_io_errors > 0, "{arch}");
+        assert!(r.unmapped_reads >= r.reliability.host_io_errors, "{arch}");
+        assert_eq!(r.reliability.pages_degraded, 0, "{arch}");
         assert_eq!(r.completed, 300, "{arch}: device must finish degraded");
     }
+}
+
+#[test]
+fn uncorrectable_reads_fail_the_host_request() {
+    let mut cfg = no_gc_config(Architecture::PSsd);
+    // ~330 raw errors per 4 KiB sense, halved per retry sense: two retries
+    // still leave ~80, past the 48-bit soft tier.
+    cfg.faults.bit_error.rber = 1e-2;
+    cfg.faults.bit_error.max_read_retries = 2;
+    let trace = trace_for(&cfg, 300);
+    let r = run_trace(cfg, &trace).unwrap();
+    assert!(r.reliability.uncorrectable_reads > 0);
+    assert!(
+        r.reliability.host_io_errors > 0,
+        "uncorrectable reads completed as successes: {:?}",
+        r.reliability
+    );
+    assert_eq!(r.completed, 300, "failed requests still complete");
 }
 
 #[test]

@@ -57,7 +57,7 @@ fn gc_preserves_every_logical_page() {
             "lpn{l} lost during preconditioning"
         );
     }
-    assert!(sim2.ftl().check_consistency());
+    assert!(sim2.ftl().check_invariants().is_empty());
 }
 
 #[test]

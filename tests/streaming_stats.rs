@@ -1,12 +1,11 @@
 //! Streaming-statistics accuracy gate: the bounded-memory windowed
-//! estimator's p50/p99/p99.9 must agree with the exact paths — nearest-rank
-//! over raw samples, and the full-resolution [`Histogram`] — within the
-//! documented error bound, and must refuse tails the retained sample count
-//! cannot resolve.
+//! estimator's p50/p99/p99.9 must equal the full-run [`Histogram`]'s
+//! exactly until a window is evicted, must agree with nearest-rank over raw
+//! samples within the histogram's resolution, and must refuse tails the
+//! retained sample count cannot resolve.
 
-use networked_ssd::sim::{DetRng, Histogram, Rng, SimTime};
-use networked_ssd::workloads::{
-    exact_percentile, tail_resolvable, tail_support, WindowedStats, STREAMING_ERROR_BOUND,
+use networked_ssd::sim::{
+    exact_percentile, tail_resolvable, tail_support, DetRng, Histogram, Rng, SimTime, WindowedStats,
 };
 
 /// A heavy-tailed latency stream shaped like device completions: a fast
@@ -29,34 +28,36 @@ fn device_like_samples(n: usize, seed: u64) -> Vec<SimTime> {
         .collect()
 }
 
-/// Exact-Histogram quantiles carry their own ~3% bucket quantization on top
-/// of the streaming bound, so cross-histogram comparisons get the sum.
-const CROSS_HISTOGRAM_BOUND: f64 = STREAMING_ERROR_BOUND + 0.032;
+/// Relative error of a [`Histogram`] quantile versus the nearest-rank
+/// order statistic: one sub-bucket, 1/32 of the value.
+const HISTOGRAM_BOUND: f64 = 1.0 / 32.0;
 
 #[test]
 fn windowed_tails_match_the_exact_paths_within_the_bound() {
     for seed in [1u64, 42, 0xC0FFEE] {
         let samples = device_like_samples(20_000, seed);
-        let mut windowed = WindowedStats::new(40_000, 1); // no eviction
+        // Five windows, all retained: nothing is evicted.
+        let mut windowed = WindowedStats::new(4_000, 5);
         let mut exact = Histogram::new();
         for &s in &samples {
             windowed.record(s);
             exact.record(s);
         }
+        assert_eq!(windowed.evicted(), 0);
         for p in [50.0, 99.0, 99.9] {
             let est = windowed
                 .percentile(p)
-                .unwrap_or_else(|| panic!("p{p} unresolvable over {} samples", samples.len()))
-                .as_ns() as f64;
-            let rank = exact_percentile(&samples, p).unwrap().as_ns() as f64;
-            let hist = exact.percentile(p).as_ns() as f64;
-            assert!(
-                (est - rank).abs() / rank <= STREAMING_ERROR_BOUND,
-                "seed {seed} p{p}: streaming {est} vs nearest-rank {rank}"
+                .unwrap_or_else(|| panic!("p{p} unresolvable over {} samples", samples.len()));
+            assert_eq!(
+                est,
+                exact.percentile(p),
+                "seed {seed} p{p}: windowed differs from the full-run histogram"
             );
+            let est = est.as_ns() as f64;
+            let rank = exact_percentile(&samples, p).unwrap().as_ns() as f64;
             assert!(
-                (est - hist).abs() / hist <= CROSS_HISTOGRAM_BOUND,
-                "seed {seed} p{p}: streaming {est} vs exact histogram {hist}"
+                (est - rank).abs() / rank <= HISTOGRAM_BOUND,
+                "seed {seed} p{p}: windowed {est} vs nearest-rank {rank}"
             );
         }
     }
@@ -82,12 +83,20 @@ fn eviction_tracks_a_latency_regime_shift() {
     assert!(windowed.evicted() >= 45_000);
     let retained = windowed.retained() as usize;
     let suffix = &degraded[degraded.len() - retained..];
+    let mut recent = Histogram::new();
+    suffix.iter().for_each(|&s| recent.record(s));
     for p in [50.0, 99.0, 99.9] {
-        let est = windowed.percentile(p).unwrap().as_ns() as f64;
+        let est = windowed.percentile(p).unwrap();
+        assert_eq!(
+            est,
+            recent.percentile(p),
+            "p{p}: windowed sees evicted samples"
+        );
+        let est = est.as_ns() as f64;
         let rank = exact_percentile(suffix, p).unwrap().as_ns() as f64;
         assert!(
-            (est - rank).abs() / rank <= STREAMING_ERROR_BOUND,
-            "p{p}: streaming {est} vs retained-suffix nearest-rank {rank}"
+            (est - rank).abs() / rank <= HISTOGRAM_BOUND,
+            "p{p}: windowed {est} vs retained-suffix nearest-rank {rank}"
         );
     }
 }
