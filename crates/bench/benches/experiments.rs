@@ -5,9 +5,8 @@
 //! Self-contained `std::time::Instant` harness (the workspace builds
 //! offline, so no criterion).
 
-use nssd_core::{
-    run_closed_loop, run_closed_loop_preconditioned, run_trace, Architecture, SsdConfig,
-};
+use nssd_bench::setup::closed_loop;
+use nssd_core::{run_trace, Aging, Architecture, SsdConfig};
 use nssd_ftl::GcPolicy;
 use nssd_workloads::{PaperWorkload, SyntheticPattern, SyntheticSpec};
 use std::time::Instant;
@@ -52,7 +51,9 @@ fn bench_fig16_family() {
         };
         let trace = spec.generate();
         bench(&format!("fig16_closed_loop/depth_{depth}"), 10, || {
-            run_closed_loop(cfg, &trace, depth).expect("run").completed
+            closed_loop(cfg, &trace, depth, Aging::Footprint)
+                .expect("run")
+                .completed
         });
     }
 }
@@ -72,9 +73,11 @@ fn bench_fig19_family() {
         };
         let trace = spec.generate();
         bench(&format!("fig19_gc_policies/{policy}"), 10, || {
-            run_closed_loop_preconditioned(cfg, &trace, 8, 0.85, 0.3)
-                .expect("run")
-                .completed
+            let aged = Aging::Aged {
+                fill: 0.85,
+                overwrite: 0.3,
+            };
+            closed_loop(cfg, &trace, 8, aged).expect("run").completed
         });
     }
 }

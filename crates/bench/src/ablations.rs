@@ -2,7 +2,7 @@
 //! sweep: control-plane latency, spatial-GC group sizing, victim policy,
 //! flash generation, and non-square Omnibus organizations.
 
-use nssd_core::{run_closed_loop, run_trace, run_trace_preconditioned, Architecture};
+use nssd_core::{run_trace, run_trace_preconditioned, Aging, Architecture};
 use nssd_flash::{FlashTiming, Geometry};
 use nssd_ftl::{GcPlanSpec, GcPolicy, VictimSpec};
 use nssd_sim::{Pool, SimTime};
@@ -257,9 +257,9 @@ pub fn abl_omnibus_shapes() -> Experiment {
     let jobs: Vec<_> = cells
         .iter()
         .flat_map(|(pn_cfg, base_cfg, trace)| {
-            [*pn_cfg, *base_cfg]
-                .into_iter()
-                .map(move |cfg| move || run_closed_loop(cfg, trace, 32).expect("abl run"))
+            [*pn_cfg, *base_cfg].into_iter().map(move |cfg| {
+                move || setup::closed_loop(cfg, trace, 32, Aging::Footprint).expect("abl run")
+            })
         })
         .collect();
     let reports = Pool::from_env().map(jobs);

@@ -17,7 +17,7 @@
 //! Usage: `rebuild [--smoke] [--out <path>]`
 
 use nssd_bench::results::Results;
-use nssd_core::{prepare_trace, Architecture, SimReport, SsdConfig};
+use nssd_core::{run_trace, Architecture, SimReport, SsdConfig};
 use nssd_flash::Geometry;
 use nssd_ftl::RedundancyConfig;
 use nssd_sim::json::Json;
@@ -88,8 +88,7 @@ fn run_cell(
             at: fail_at,
         });
     }
-    let (sim, drive) = prepare_trace(cfg, trace)?;
-    Ok(sim.run(drive))
+    run_trace(cfg, trace)
 }
 
 fn record(

@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use nssd_core::{run_closed_loop, run_trace, Architecture, SimReport, SsdConfig, Traffic};
+use nssd_core::{run_trace, Aging, Architecture, SimReport, SsdConfig, Traffic};
 use nssd_ftl::AllocPolicy;
 use nssd_interconnect::{signals, BusParams, DataPacket, DedicatedBus, PacketBus};
 use nssd_workloads::{PaperWorkload, SyntheticPattern, SyntheticSpec};
@@ -349,7 +349,10 @@ pub fn fig15_throughput() -> Experiment {
         .iter()
         .flat_map(|(_, trace)| {
             evaluated_architectures().into_iter().map(move |arch| {
-                move || run_closed_loop(setup::io_config(arch), trace, depth).expect("fig15 run")
+                move || {
+                    setup::closed_loop(setup::io_config(arch), trace, depth, Aging::Footprint)
+                        .expect("fig15 run")
+                }
             })
         })
         .collect();
@@ -507,7 +510,9 @@ fn synthetic_latency_table(policy: AllocPolicy) -> Table {
         .flat_map(|(_, _, cfg, trace)| {
             depths.into_iter().map(move |depth| {
                 let cfg = *cfg;
-                move || run_closed_loop(cfg, trace, depth).expect("synthetic run")
+                move || {
+                    setup::closed_loop(cfg, trace, depth, Aging::Footprint).expect("synthetic run")
+                }
             })
         })
         .collect();

@@ -2,9 +2,7 @@
 
 use std::sync::OnceLock;
 
-use nssd_core::{
-    run_closed_loop_preconditioned, run_trace_preconditioned, Architecture, SimReport,
-};
+use nssd_core::{run_trace_preconditioned, Architecture, SimReport};
 use nssd_ftl::{
     GcPlanSpec, GcPolicy, PlacementSpec, PreemptionSpec, VictimSpec, DEFAULT_WEAR_WEIGHT,
 };
@@ -75,10 +73,7 @@ pub fn fig18_gc_synthetic() -> Experiment {
         .map(|(_, _, _, cfg, trace)| {
             let cfg = *cfg;
             let trace = std::mem::replace(trace, nssd_workloads::Trace::new("taken"));
-            move || {
-                run_closed_loop_preconditioned(cfg, trace, 16, setup::GC_FILL, setup::GC_OVERWRITE)
-                    .expect("fig18 run")
-            }
+            move || setup::closed_loop(cfg, trace, 16, setup::GC_AGING).expect("fig18 run")
         })
         .collect();
     let reports = Pool::from_env().map(jobs);

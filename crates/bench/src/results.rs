@@ -1,5 +1,5 @@
-//! The results envelope shared by the artifact-writing bins (`perf`,
-//! `plans`, `rebuild`, `lifetime`): one `[--smoke] [--out <path>]` command
+//! The results envelope shared by the artifact-writing bins (`plans`,
+//! `rebuild`, `lifetime`): one `[--smoke] [--out <path>]` command
 //! line, one JSON document per run with its `"schema"` tag first, rendered
 //! through [`nssd_sim::json`], and one failure path — the `--smoke` checks
 //! on the bin's in-memory records included.

@@ -1,7 +1,7 @@
 //! Shared experiment setup: standard configurations, workload
 //! instantiation, and run-scale knobs.
 
-use nssd_core::{Architecture, SsdConfig};
+use nssd_core::{prepare, Aging, Architecture, Drive, SimReport, SsdConfig, TraceInput};
 use nssd_ftl::GcPolicy;
 use nssd_workloads::{PaperWorkload, Trace};
 
@@ -49,6 +49,28 @@ pub fn gc_config(arch: Architecture, policy: GcPolicy) -> SsdConfig {
 pub const GC_FILL: f64 = 0.85;
 /// See [`GC_FILL`].
 pub const GC_OVERWRITE: f64 = 0.3;
+/// [`GC_FILL`] and [`GC_OVERWRITE`] as the device aging.
+pub const GC_AGING: Aging = Aging::Aged {
+    fill: GC_FILL,
+    overwrite: GC_OVERWRITE,
+};
+
+/// Runs `requests` closed-loop with `depth` outstanding on a device aged
+/// per `aging` (the queue-depth studies: Figs 15–18 and the ablations).
+///
+/// # Errors
+///
+/// Returns a message for invalid configurations or infeasible traces.
+pub fn closed_loop(
+    cfg: SsdConfig,
+    requests: impl TraceInput,
+    depth: usize,
+    aging: Aging,
+) -> Result<SimReport, String> {
+    let requests = requests.into_records();
+    let drive = Drive::ClosedLoop { requests, depth };
+    Ok(prepare(cfg, &drive, aging)?.run(drive))
+}
 
 /// The trace footprint used for no-GC runs: half the logical space.
 pub fn io_footprint(cfg: &SsdConfig) -> u64 {

@@ -8,9 +8,7 @@
 //! p50/p99/p999, bandwidth, SLO violations, and queueing delay. Scale with
 //! `NSSD_TENANT_REQUESTS` (per tenant, default 2000).
 
-use nssd_core::{
-    run_tenants_preconditioned, Architecture, SchedulerKind, SimReport, TenantSummary,
-};
+use nssd_core::{prepare, Architecture, Drive, SchedulerKind, SimReport, TenantSummary};
 use nssd_ftl::GcPolicy;
 use nssd_workloads::TenantMix;
 
@@ -49,15 +47,17 @@ fn run_cell(arch: Architecture, sched: SchedulerKind, requests: usize) -> SimRep
     let cfg = setup::gc_config(arch, GcPolicy::Parallel);
     let streams = TenantMix::interference(requests)
         .generate(setup::gc_footprint(&cfg), setup::EXPERIMENT_SEED);
-    run_tenants_preconditioned(
-        cfg,
-        streams,
-        sched,
-        TENANT_DEPTH,
-        setup::GC_FILL,
-        setup::GC_OVERWRITE,
-    )
-    .expect("tenant interference cell")
+    let drive = Drive::MultiTenant {
+        tenants: streams
+            .into_iter()
+            .map(|(tenant, trace)| (tenant, trace.into_records()))
+            .collect(),
+        scheduler: sched,
+        depth: TENANT_DEPTH,
+    };
+    prepare(cfg, &drive, setup::GC_AGING)
+        .expect("tenant interference cell")
+        .run(drive)
 }
 
 /// A tail percentile cell, flagged when the sample count cannot resolve it

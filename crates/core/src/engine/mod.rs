@@ -148,6 +148,24 @@ pub enum Drive {
     },
 }
 
+impl Drive {
+    /// Highest byte address any request touches, plus one: over every
+    /// tenant's stream for [`Drive::MultiTenant`].
+    pub fn footprint_bytes(&self) -> u64 {
+        match self {
+            Drive::OpenLoop(requests) | Drive::ClosedLoop { requests, .. } => {
+                requests.iter().map(IoRequest::end).max()
+            }
+            Drive::MultiTenant { tenants, .. } => tenants
+                .iter()
+                .flat_map(|(_, requests)| requests)
+                .map(IoRequest::end)
+                .max(),
+        }
+        .unwrap_or(0)
+    }
+}
+
 /// Live state of a multi-tenant run: the submission frontend plus
 /// per-tenant accounting.
 #[derive(Debug)]

@@ -23,9 +23,8 @@ use nssd_sim::{obj, SimTime};
 use nssd_workloads::{PaperWorkload, TenantMix};
 
 use crate::{
-    prepare_tenants, prepare_tenants_preconditioned, prepare_trace, prepare_trace_preconditioned,
-    Architecture, ChannelUtilSummary, Drive, LatencySummary, SchedulerKind, SimReport, SsdConfig,
-    SsdSim, TenantSummary,
+    prepare, Aging, Architecture, ChannelUtilSummary, Drive, LatencySummary, SchedulerKind,
+    SimReport, SsdConfig, SsdSim, TenantSummary,
 };
 
 /// The pinned multi-tenant scenarios a golden case can run instead of a
@@ -71,6 +70,9 @@ pub struct GoldenCase {
     /// (with `chip_failure`) the degraded-read reconstruction path and the
     /// fabric-routed rebuild.
     pub redundancy: Option<u32>,
+    /// When set, the workload runs closed-loop with this many requests
+    /// outstanding instead of arriving at its trace timestamps.
+    pub closed_loop: Option<usize>,
 }
 
 impl GoldenCase {
@@ -112,7 +114,11 @@ impl GoldenCase {
             (None, true) => "_chipfail".to_string(),
             (None, false) => String::new(),
         };
-        format!("{arch}_{policy}_{workload}{red}_s{}.json", self.seed)
+        let qd = match self.closed_loop {
+            Some(depth) => format!("_qd{depth}"),
+            None => String::new(),
+        };
+        format!("{arch}_{policy}_{workload}{red}{qd}_s{}.json", self.seed)
     }
 
     /// The configuration this case runs under: the tiny geometry with the
@@ -158,38 +164,59 @@ impl GoldenCase {
     /// Returns a message for invalid configurations or infeasible traces.
     pub fn prepare(&self) -> Result<(SsdSim, Drive), String> {
         let cfg = self.config();
-        if let Some(scenario) = self.tenants {
-            let mix = match scenario {
-                TenantScenario::InterferenceWfq => TenantMix::interference(self.requests),
-            };
-            // 3/4 of logical space: inside the 0.85 preconditioned region,
-            // split into per-tenant partitions by the mix.
-            let streams = mix.generate(cfg.logical_bytes() * 3 / 4, self.seed);
-            return if self.plan.is_none() {
-                prepare_tenants(cfg, streams, SchedulerKind::WeightedFair, 8)
-            } else {
-                prepare_tenants_preconditioned(
-                    cfg,
-                    streams,
-                    SchedulerKind::WeightedFair,
-                    8,
-                    0.85,
-                    0.3,
-                )
-            };
-        }
-        // The trace is generated per run, so it moves into the engine
-        // by value — the zero-copy `TraceInput` path.
-        let trace = self
-            .workload
-            .generate(self.requests, cfg.logical_bytes() / 2, self.seed);
-        if self.plan.is_none() {
-            prepare_trace(cfg, trace)
-        } else {
-            // GC cases start from a preconditioned (aged) device so the
-            // policies actually fire within the pinned request budget.
-            prepare_trace_preconditioned(cfg, trace, 0.85, 0.3)
-        }
+        let drive = match self.tenants {
+            Some(TenantScenario::InterferenceWfq) => {
+                // 3/4 of logical space: inside the 0.85 aged region, split
+                // into per-tenant partitions by the mix.
+                let streams = TenantMix::interference(self.requests)
+                    .generate(cfg.logical_bytes() * 3 / 4, self.seed);
+                Drive::MultiTenant {
+                    tenants: streams
+                        .into_iter()
+                        .map(|(tenant, trace)| (tenant, trace.into_records()))
+                        .collect(),
+                    scheduler: SchedulerKind::WeightedFair,
+                    depth: 8,
+                }
+            }
+            None => {
+                // Generated per run, so the records move into the drive.
+                let requests = self
+                    .workload
+                    .generate(self.requests, cfg.logical_bytes() / 2, self.seed)
+                    .into_records();
+                match self.closed_loop {
+                    Some(depth) => Drive::ClosedLoop { requests, depth },
+                    None => Drive::OpenLoop(requests),
+                }
+            }
+        };
+        // GC cases start from an aged device so the policies actually fire
+        // within the pinned request budget.
+        let aging = match self.plan {
+            None => Aging::Footprint,
+            Some(_) => Aging::Aged {
+                fill: 0.85,
+                overwrite: 0.3,
+            },
+        };
+        Ok((prepare(cfg, &drive, aging)?, drive))
+    }
+}
+
+/// The matrix's starting point: 120 open-loop YCSB-A requests with GC,
+/// faults and redundancy off. Each sweep overrides what it pins.
+fn case(architecture: Architecture, seed: u64) -> GoldenCase {
+    GoldenCase {
+        architecture,
+        workload: PaperWorkload::YcsbA,
+        seed,
+        requests: 120,
+        tenants: None,
+        plan: None,
+        chip_failure: false,
+        redundancy: None,
+        closed_loop: None,
     }
 }
 
@@ -211,28 +238,16 @@ pub fn matrix() -> Vec<GoldenCase> {
     ] {
         for workload in [PaperWorkload::YcsbA, PaperWorkload::WebSearch0] {
             cases.push(GoldenCase {
-                architecture,
                 workload,
-                seed: 7,
-                requests: 120,
-                tenants: None,
-                plan: None,
-                chip_failure: false,
-                redundancy: None,
+                ..case(architecture, 7)
             });
         }
     }
     for architecture in [Architecture::BaseSsd, Architecture::PnSsd] {
         for policy in [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial] {
             cases.push(GoldenCase {
-                architecture,
-                workload: PaperWorkload::YcsbA,
-                seed: 13,
-                requests: 120,
-                tenants: None,
                 plan: Some(policy.plan()),
-                chip_failure: false,
-                redundancy: None,
+                ..case(architecture, 13)
             });
         }
     }
@@ -241,14 +256,8 @@ pub fn matrix() -> Vec<GoldenCase> {
     // paper's pnSSD over the same aged-device YCSB-A trace as the GC sweep.
     for plan in [GcPlanSpec::hot_cold(), GcPlanSpec::wear_aware()] {
         cases.push(GoldenCase {
-            architecture: Architecture::PnSsd,
-            workload: PaperWorkload::YcsbA,
-            seed: 13,
-            requests: 120,
-            tenants: None,
             plan: Some(plan),
-            chip_failure: false,
-            redundancy: None,
+            ..case(Architecture::PnSsd, 13)
         });
     }
     // Tenant-interference sweep: the write-burst vs latency-sensitive mix
@@ -260,14 +269,10 @@ pub fn matrix() -> Vec<GoldenCase> {
         Architecture::PnSsd,
     ] {
         cases.push(GoldenCase {
-            architecture,
-            workload: PaperWorkload::YcsbA, // unused: the scenario drives it
-            seed: 21,
             requests: 60,
             tenants: Some(TenantScenario::InterferenceWfq),
             plan: Some(GcPolicy::Parallel.plan()),
-            chip_failure: false,
-            redundancy: None,
+            ..case(architecture, 21)
         });
     }
     // Redundancy sweep: parity stripe of 2 with a fail-stop chip failure
@@ -276,27 +281,23 @@ pub fn matrix() -> Vec<GoldenCase> {
     // fabric-routed rebuild, and the oracle's zero-silent-loss proof.
     for architecture in [Architecture::BaseSsd, Architecture::PnSsd] {
         cases.push(GoldenCase {
-            architecture,
-            workload: PaperWorkload::YcsbA,
-            seed: 29,
-            requests: 120,
-            tenants: None,
-            plan: None,
             chip_failure: true,
             redundancy: Some(2),
+            ..case(architecture, 29)
         });
     }
     // The same failure without parity on pnSSD: the honest-loss path,
     // where the chip's live pages are gone and reads of them fail.
     cases.push(GoldenCase {
-        architecture: Architecture::PnSsd,
-        workload: PaperWorkload::YcsbA,
-        seed: 29,
-        requests: 120,
-        tenants: None,
-        plan: None,
         chip_failure: true,
-        redundancy: None,
+        ..case(Architecture::PnSsd, 29)
+    });
+    // Closed-loop sweep: the queue-depth-driven path of Figs 15–18 and the
+    // ablations, on an aged pnSSD+split under spatial GC.
+    cases.push(GoldenCase {
+        plan: Some(GcPolicy::Spatial.plan()),
+        closed_loop: Some(16),
+        ..case(Architecture::PnSsdSplit, 13)
     });
     cases
 }

@@ -44,12 +44,7 @@ pub use report::{
     ChannelUtilSummary, EnergySummary, EngineSummary, GcSummary, LatencySummary, RedundancySummary,
     SimReport, TenantSummary,
 };
-pub use runner::{
-    prepare_closed_loop, prepare_closed_loop_preconditioned, prepare_tenants,
-    prepare_tenants_preconditioned, prepare_trace, prepare_trace_preconditioned, run_closed_loop,
-    run_closed_loop_preconditioned, run_tenants, run_tenants_preconditioned, run_trace,
-    run_trace_preconditioned, TraceInput,
-};
+pub use runner::{prepare, run_trace, run_trace_preconditioned, Aging, TraceInput};
 
 #[cfg(test)]
 mod tests {
@@ -69,6 +64,12 @@ mod tests {
         let mut cfg = SsdConfig::tiny(arch);
         cfg.gc.plan = None;
         cfg
+    }
+
+    fn closed_loop(cfg: SsdConfig, t: &Trace, depth: usize, aging: Aging) -> SimReport {
+        let requests = t.records().to_vec();
+        let drive = Drive::ClosedLoop { requests, depth };
+        prepare(cfg, &drive, aging).unwrap().run(drive)
     }
 
     #[test]
@@ -171,7 +172,7 @@ mod tests {
             seed: 1,
         };
         let t = spec.generate();
-        let report = run_closed_loop(cfg, &t, 8).unwrap();
+        let report = closed_loop(cfg, &t, 8, Aging::Footprint);
         assert_eq!(report.completed, 64);
         assert!(report.kiops() > 0.0);
     }
@@ -187,14 +188,18 @@ mod tests {
             seed: 2,
         };
         let t = spec.generate();
-        let shallow = run_closed_loop(cfg, &t, 1).unwrap();
-        let deep = run_closed_loop(cfg, &t, 32).unwrap();
+        let shallow = closed_loop(cfg, &t, 1, Aging::Footprint);
+        let deep = closed_loop(cfg, &t, 32, Aging::Footprint);
         assert!(deep.all.mean > shallow.all.mean);
         assert!(deep.kiops() > shallow.kiops());
     }
 
     #[test]
     fn gc_triggers_under_write_pressure() {
+        let aged = Aging::Aged {
+            fill: 0.85,
+            overwrite: 0.3,
+        };
         for policy in [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial] {
             let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
             cfg.gc.plan = Some(policy.plan());
@@ -207,7 +212,7 @@ mod tests {
                 seed: 3,
             };
             let t = spec.generate();
-            let report = run_closed_loop_preconditioned(cfg, &t, 8, 0.85, 0.3).unwrap();
+            let report = closed_loop(cfg, &t, 8, aged);
             assert_eq!(report.completed, 600, "{policy}");
             assert!(report.gc.events > 0, "{policy}: GC never triggered");
             assert!(report.gc.pages_copied > 0, "{policy}");

@@ -119,6 +119,11 @@ impl IoRequest {
         })
     }
 
+    /// One past the last byte the request touches.
+    pub fn end(&self) -> u64 {
+        self.offset + self.len as u64
+    }
+
     /// The `(first_page, page_count)` the request touches for a given page
     /// size.
     ///

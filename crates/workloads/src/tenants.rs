@@ -5,8 +5,8 @@
 //! from the existing generators — a raw [`WorkloadSpec`], a named
 //! [`PaperWorkload`], or a closed-loop [`MixedSpec`]. [`TenantMix::generate`]
 //! carves the logical address space into equal per-tenant partitions and
-//! renders one trace per tenant, ready for
-//! `run_tenants(…)` in the core crate.
+//! renders one trace per tenant, ready for the core crate's multi-tenant
+//! `Drive`.
 //!
 //! The canonical interference scenario the paper-style experiments use —
 //! a GC-heavy write-burst tenant against a read-latency-sensitive

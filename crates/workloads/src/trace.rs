@@ -104,11 +104,7 @@ impl Trace {
 
     /// Highest byte address touched plus one (the footprint bound).
     pub fn footprint_bytes(&self) -> u64 {
-        self.records
-            .iter()
-            .map(|r| r.offset + r.len as u64)
-            .max()
-            .unwrap_or(0)
+        self.records.iter().map(IoRequest::end).max().unwrap_or(0)
     }
 
     /// Interleaves two traces in a fixed `a_run`/`b_run` round-robin

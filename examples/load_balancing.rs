@@ -6,7 +6,9 @@
 //! ```
 
 use networked_ssd::ftl::AllocPolicy;
-use networked_ssd::{run_closed_loop, Architecture, SsdConfig, SyntheticPattern, SyntheticSpec};
+use networked_ssd::{
+    prepare, Aging, Architecture, Drive, SsdConfig, SyntheticPattern, SyntheticSpec,
+};
 
 fn main() -> Result<(), String> {
     println!("sequential reads, 64KB each, 16 concurrent — by placement policy:\n");
@@ -30,7 +32,12 @@ fn main() -> Result<(), String> {
                 4_000,
                 cfg.logical_bytes() / 2,
             );
-            let report = run_closed_loop(cfg, spec.generate(), 16)?;
+            let requests = spec.generate().into_records();
+            let drive = Drive::ClosedLoop {
+                requests,
+                depth: 16,
+            };
+            let report = prepare(cfg, &drive, Aging::Footprint)?.run(drive);
             row += &format!(" {:>14}", report.all.mean.to_string());
         }
         println!("{row}");

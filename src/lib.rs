@@ -46,7 +46,7 @@
 //! | [`workloads`] | `nssd-workloads` | Traces, Zipf, synthetic + named suites |
 //! | [`faults`] | `nssd-faults` | Deterministic fault injection, reliability counters |
 //! | [`oracle`] | `nssd-oracle` | Timing-free shadow model, conservation invariants |
-//! | [`core`] | `nssd-core` | Architectures, engine, runners, reports, golden snapshots |
+//! | [`core`] | `nssd-core` | Architectures, engine, the run API (`prepare`, `Aging`, `Drive`), reports, golden snapshots |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,9 +63,9 @@ pub use nssd_workloads as workloads;
 
 // The most-used items, flattened for convenience.
 pub use nssd_core::{
-    run_closed_loop, run_closed_loop_preconditioned, run_tenants, run_tenants_preconditioned,
-    run_trace, run_trace_preconditioned, Architecture, FaultConfig, GoldenCase, OracleSummary,
-    ReliabilityStats, SchedulerKind, SimReport, SloClass, SsdConfig, TenantConfig, TenantSummary,
+    prepare, run_trace, run_trace_preconditioned, Aging, Architecture, Drive, FaultConfig,
+    GoldenCase, OracleSummary, ReliabilityStats, SchedulerKind, SimReport, SloClass, SsdConfig,
+    TenantConfig, TenantSummary,
 };
 pub use nssd_ftl::{GcPlan, GcPlanSpec, GcPolicy, PlacementSpec, PreemptionSpec, VictimSpec};
 pub use nssd_workloads::{

@@ -2,8 +2,8 @@
 //! across every layer of the stack.
 
 use networked_ssd::{
-    run_closed_loop, run_trace, run_trace_preconditioned, Architecture, GcPolicy, PaperWorkload,
-    SsdConfig, SyntheticPattern, SyntheticSpec,
+    prepare, run_trace, run_trace_preconditioned, Aging, Architecture, Drive, GcPolicy,
+    PaperWorkload, SsdConfig, SyntheticPattern, SyntheticSpec,
 };
 
 #[test]
@@ -39,10 +39,16 @@ fn closed_loop_runs_are_identical() {
         footprint_bytes: cfg.logical_bytes() / 2,
         seed: 9,
     };
-    let t = spec.generate();
-    let a = run_closed_loop(cfg, &t, 8).unwrap();
-    let b = run_closed_loop(cfg, &t, 8).unwrap();
-    assert_eq!(a, b);
+    let drive = Drive::ClosedLoop {
+        requests: spec.generate().into_records(),
+        depth: 8,
+    };
+    let run = || {
+        prepare(cfg, &drive, Aging::Footprint)
+            .unwrap()
+            .run(drive.clone())
+    };
+    assert_eq!(run(), run());
 }
 
 #[test]

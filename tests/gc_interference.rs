@@ -3,7 +3,10 @@
 //! isolation property of spatial GC.
 
 use networked_ssd::ftl::Lpn;
-use networked_ssd::{run_trace_preconditioned, Architecture, GcPolicy, PaperWorkload, SsdConfig};
+use networked_ssd::{
+    prepare, run_trace_preconditioned, Aging, Architecture, Drive, GcPolicy, PaperWorkload,
+    SsdConfig,
+};
 
 fn gc_cfg(arch: Architecture, policy: GcPolicy) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
@@ -30,51 +33,41 @@ fn every_policy_reclaims_under_pressure() {
 
 #[test]
 fn gc_preserves_every_logical_page() {
-    use networked_ssd::core::{Drive, SsdSim};
     let cfg = gc_cfg(Architecture::PnSsdSplit, GcPolicy::Spatial);
     let trace = PaperWorkload::YcsbA.generate(400, cfg.logical_bytes() / 2, 2);
-    let mut sim = SsdSim::new(cfg).expect("config valid");
-    let mut rng = sim.rng_mut().clone();
-    sim.ftl_mut()
-        .precondition(0.9, 0.4, &mut rng)
-        .expect("precondition");
-    let logical = sim.ftl().logical_pages();
-    let filled = (logical as f64 * 0.9) as u64;
+    let drive = Drive::OpenLoop(trace.into_records());
+    let aged = Aging::Aged {
+        fill: 0.9,
+        overwrite: 0.4,
+    };
+    let mut sim = prepare(cfg, &drive, aged).expect("prepare");
+    let filled = (sim.ftl().logical_pages() as f64 * 0.9) as u64;
+    sim.start(drive);
+    sim.run_to_idle();
     // After a full timed run with spatial GC churn, every preconditioned
     // LPN still resolves and the FTL invariants hold.
-    // (Consume the sim by running; re-check via a fresh instance's replay.)
-    let report = sim.run(Drive::OpenLoop(trace.records().to_vec()));
-    assert_eq!(report.completed, 400);
-    // Rebuild and replay the same seed to inspect final FTL state.
-    let mut sim2 = SsdSim::new(cfg).expect("config valid");
-    let mut rng2 = sim2.rng_mut().clone();
-    sim2.ftl_mut()
-        .precondition(0.9, 0.4, &mut rng2)
-        .expect("precondition");
     for l in 0..filled {
         assert!(
-            sim2.ftl().lookup(Lpn::new(l)).is_some(),
-            "lpn{l} lost during preconditioning"
+            sim.ftl().lookup(Lpn::new(l)).is_some(),
+            "lpn{l} lost during the run"
         );
     }
-    assert!(sim2.ftl().check_invariants().is_empty());
+    assert_eq!(sim.ftl().check_invariants(), Vec::<String>::new());
+    let report = sim.into_report();
+    assert_eq!(report.completed, 400);
+    assert!(report.gc.events > 0, "GC never ran");
 }
 
 #[test]
 fn spatial_epochs_alternate_groups() {
-    use networked_ssd::core::{Drive, SsdSim};
     let cfg = gc_cfg(Architecture::PnSsd, GcPolicy::Spatial);
     let trace = PaperWorkload::Build0.generate(600, cfg.logical_bytes() / 2, 3);
-    let mut sim = SsdSim::new(cfg).expect("config valid");
-    let mut rng = sim.rng_mut().clone();
-    sim.ftl_mut()
-        .precondition(0.85, 0.3, &mut rng)
-        .expect("precondition");
-    let max_lpn = (sim.ftl().logical_pages() as f64 * 0.85) as u64;
-    sim.ftl_mut()
-        .pressurize(max_lpn, &mut rng)
-        .expect("pressurize");
-    let report = sim.run(Drive::OpenLoop(trace.records().to_vec()));
+    let drive = Drive::OpenLoop(trace.into_records());
+    let aged = Aging::Aged {
+        fill: 0.85,
+        overwrite: 0.3,
+    };
+    let report = prepare(cfg, &drive, aged).expect("prepare").run(drive);
     // Multiple GC events must have completed, each one an epoch swap.
     assert!(
         report.gc.events >= 2,

@@ -9,7 +9,7 @@
 //! If the oracle ever goes blind, these tests — not a lucky workload — say
 //! so.
 
-use networked_ssd::core::{prepare_trace_preconditioned, Checkpoint, Drive, SsdSim};
+use networked_ssd::core::{prepare, Aging, Checkpoint, Drive, SsdSim};
 use networked_ssd::flash::{Geometry, Ppn};
 use networked_ssd::ftl::{Ftl, FtlConfig, Lpn, Relocation, WayMask};
 use networked_ssd::host::{IoOp, IoRequest};
@@ -225,7 +225,12 @@ fn relocation_of_a_never_mapped_lpn_is_reported_not_a_panic() {
 fn aged_oracle_sim() -> (SsdConfig, SsdSim, Drive) {
     let cfg = oracle_cfg(Architecture::PnSsd, Some(GcPolicy::Parallel));
     let trace = PaperWorkload::YcsbA.generate(150, cfg.logical_bytes() / 2, 23);
-    let (mut sim, drive) = prepare_trace_preconditioned(cfg, &trace, 0.85, 0.3).unwrap();
+    let drive = Drive::OpenLoop(trace.into_records());
+    let aged = Aging::Aged {
+        fill: 0.85,
+        overwrite: 0.3,
+    };
+    let mut sim = prepare(cfg, &drive, aged).unwrap();
     sim.oracle_sync();
     (cfg, sim, drive)
 }

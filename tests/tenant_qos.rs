@@ -1,7 +1,7 @@
 //! Integration gate for the multi-tenant host frontend.
 //!
 //! Everything here runs real simulations end-to-end through
-//! [`networked_ssd::run_tenants`] on the tiny geometry, and checks the
+//! a [`networked_ssd::Drive::MultiTenant`] on the tiny geometry, and checks the
 //! QoS-visible contract: arbitration weight actually shapes latency, SLO
 //! accounting counts what it claims to count, per-tenant rollups conserve
 //! the aggregate totals, and the whole path is deterministic. The pinned
@@ -11,8 +11,8 @@
 
 use networked_ssd::core::golden::canonical_json;
 use networked_ssd::{
-    run_tenants, run_trace, Architecture, MixedSpec, PaperWorkload, SchedulerKind, SimReport,
-    SloClass, SsdConfig, TenantMix, TenantSpec, TenantWorkload,
+    prepare, run_trace, Aging, Architecture, Drive, MixedSpec, PaperWorkload, SchedulerKind,
+    SimReport, SloClass, SsdConfig, TenantConfig, TenantMix, TenantSpec, TenantWorkload, Trace,
 };
 
 const DEPTH: usize = 8;
@@ -48,10 +48,27 @@ fn backlogged_mix(weights: &[(&'static str, u32)]) -> TenantMix {
     }
 }
 
+/// Runs per-tenant streams through the multi-queue frontend on a device
+/// with every page of their footprint mapped.
+fn run_streams(
+    streams: Vec<(TenantConfig, Trace)>,
+    scheduler: SchedulerKind,
+) -> Result<SimReport, String> {
+    let tenants = streams
+        .into_iter()
+        .map(|(config, trace)| (config, trace.into_records()))
+        .collect();
+    let drive = Drive::MultiTenant {
+        tenants,
+        scheduler,
+        depth: DEPTH,
+    };
+    Ok(prepare(cfg(), &drive, Aging::Footprint)?.run(drive))
+}
+
 fn run_mix(mix: &TenantMix, scheduler: SchedulerKind) -> SimReport {
-    let cfg = cfg();
-    let streams = mix.generate(cfg.logical_bytes() / 2, 42);
-    run_tenants(cfg, streams, scheduler, DEPTH).expect("tenant run")
+    let streams = mix.generate(cfg().logical_bytes() / 2, 42);
+    run_streams(streams, scheduler).expect("tenant run")
 }
 
 #[test]
@@ -111,7 +128,7 @@ fn slo_violations_count_exactly_the_late_completions() {
             )
         })
         .collect();
-    let report = run_tenants(cfg(), impossible, SchedulerKind::RoundRobin, DEPTH).unwrap();
+    let report = run_streams(impossible, SchedulerKind::RoundRobin).unwrap();
     for t in &report.tenants {
         assert_eq!(t.slo_violations, t.completed, "{}: impossible SLO", t.name);
         assert!((t.slo_violation_rate() - 1.0).abs() < 1e-12);
@@ -127,7 +144,7 @@ fn slo_violations_count_exactly_the_late_completions() {
             )
         })
         .collect();
-    let report = run_tenants(cfg(), generous, SchedulerKind::RoundRobin, DEPTH).unwrap();
+    let report = run_streams(generous, SchedulerKind::RoundRobin).unwrap();
     for t in &report.tenants {
         assert_eq!(t.slo_violations, 0, "{}: generous SLO", t.name);
         assert_eq!(t.slo_violation_rate(), 0.0);
@@ -189,8 +206,7 @@ fn paper_workload_tenants_run_end_to_end() {
 
 #[test]
 fn empty_tenant_streams_are_an_error_not_a_panic() {
-    let streams = Vec::<(networked_ssd::TenantConfig, networked_ssd::workloads::Trace)>::new();
-    let r = run_tenants(cfg(), streams, SchedulerKind::RoundRobin, DEPTH);
+    let r = run_streams(Vec::new(), SchedulerKind::RoundRobin);
     let err = r.expect_err("empty streams must be rejected");
     assert!(err.contains("tenant"), "{err}");
 }
