@@ -191,16 +191,20 @@ impl GoldenCase {
                 }
             }
         };
-        // GC cases start from an aged device so the policies actually fire
-        // within the pinned request budget.
-        let aging = match self.plan {
+        Ok((prepare(cfg, &drive, self.aging())?, drive))
+    }
+
+    /// How [`GoldenCase::prepare`] ages the device: GC cases start from an
+    /// aged device so the policies actually fire within the pinned request
+    /// budget.
+    pub fn aging(&self) -> Aging {
+        match self.plan {
             None => Aging::Footprint,
             Some(_) => Aging::Aged {
                 fill: 0.85,
                 overwrite: 0.3,
             },
-        };
-        Ok((prepare(cfg, &drive, aging)?, drive))
+        }
     }
 }
 

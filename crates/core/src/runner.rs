@@ -40,6 +40,12 @@ pub enum Aging {
     /// Sequentially map every page the drive's footprint covers, so reads
     /// hit flash rather than the unmapped-page fast path, without
     /// fragmenting blocks (the no-GC experiments, Figs 14–17).
+    ///
+    /// The device is fresh, so `Ftl::precondition` builds this fill stripe
+    /// by stripe rather than page by page. Every fill write on a fresh
+    /// device lands where the stripe order puts it and draws no
+    /// randomness, so the result is byte-identical to writing the pages
+    /// one at a time.
     Footprint,
     /// Write `fill` of the logical space, apply `overwrite × logical`
     /// random overwrites, then pressurize so garbage collection has work
@@ -75,7 +81,8 @@ pub enum Aging {
 /// # Errors
 ///
 /// Returns a message for invalid configurations, a multi-tenant drive with
-/// no tenants, or a drive whose footprint does not fit the aged region.
+/// no tenants, a drive whose footprint does not fit the aged region, or
+/// [`Aging::Aged`] fractions outside `fill ∈ [0, 1]`, `overwrite ∈ [0, 2]`.
 pub fn prepare(cfg: SsdConfig, drive: &Drive, aging: Aging) -> Result<SsdSim, String> {
     if matches!(drive, Drive::MultiTenant { tenants, .. } if tenants.is_empty()) {
         return Err("multi-tenant run needs at least one tenant stream".into());
@@ -148,4 +155,50 @@ fn run_open_loop(
 ) -> Result<SimReport, String> {
     let drive = Drive::OpenLoop(trace.into_records());
     Ok(prepare(cfg, &drive, aging)?.run(drive))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Architecture;
+    use nssd_workloads::PaperWorkload;
+
+    #[test]
+    fn aging_fractions_out_of_range_are_errors() {
+        let cfg = SsdConfig::tiny(Architecture::BaseSsd);
+        let trace = PaperWorkload::YcsbA.generate(20, cfg.logical_bytes() / 4, 3);
+        let traced = Drive::OpenLoop(trace.into_records());
+        // With no footprint to check, only the fractions can fail.
+        let empty = Drive::OpenLoop(Vec::new());
+        for (fill, overwrite) in [
+            (1.5, 0.3),
+            (f64::INFINITY, 0.0),
+            (-0.5, 0.3),
+            (f64::NAN, 0.3),
+            (0.9, 2.5),
+            (0.9, -0.1),
+            (0.9, f64::NAN),
+        ] {
+            let aging = Aging::Aged { fill, overwrite };
+            for drive in [&traced, &empty] {
+                let Err(e) = prepare(cfg, drive, aging) else {
+                    panic!("{aging:?} accepted");
+                };
+                if drive.footprint_bytes() == 0 {
+                    assert!(e.contains("fraction"), "{aging:?}: {e}");
+                }
+            }
+        }
+        let too_full = Aging::Aged {
+            fill: 1.5,
+            overwrite: 0.3,
+        };
+        let e = prepare(cfg, &traced, too_full).err();
+        assert!(e.is_some_and(|e| e.contains("fill fraction 1.5")));
+        let edge = Aging::Aged {
+            fill: 1.0,
+            overwrite: 2.0,
+        };
+        assert!(prepare(cfg, &empty, edge).is_ok());
+    }
 }

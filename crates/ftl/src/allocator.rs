@@ -222,6 +222,24 @@ impl PageAllocator {
         }
     }
 
+    /// The plane unit that allocation sequence number `s` stripes onto,
+    /// among the `way_count` ways set in `way_bits` (nonempty, within the
+    /// geometry). Inlined: it runs once per programmed page.
+    #[inline]
+    fn unit_at(&self, s: u64, g: &Geometry, way_bits: u64, way_count: u32) -> usize {
+        let (channel, way_i, die, plane) = self.decode(s, g, way_count);
+        let way = {
+            // The `way_i`-th (ascending) set bit of `way_bits`.
+            let mut bits = way_bits;
+            for _ in 0..way_i {
+                bits &= bits - 1;
+            }
+            bits.trailing_zeros()
+        };
+        ((g.chip_index(channel, way) as u64 * g.dies as u64 + die as u64) * g.planes as u64
+            + plane as u64) as usize
+    }
+
     /// Allocates (programs) the next physical page, striping per policy and
     /// confined to `mask`'s ways.
     ///
@@ -259,19 +277,8 @@ impl PageAllocator {
         }
         let units = g.planes as u64 * g.channels as u64 * way_count as u64 * g.dies as u64;
         for _ in 0..units {
-            let (channel, way_i, die, plane) = self.decode(self.seq, &g, way_count);
+            let unit = self.unit_at(self.seq, &g, way_bits, way_count);
             self.seq += 1;
-            let way = {
-                // The `way_i`-th (ascending) set bit of `way_bits`.
-                let mut bits = way_bits;
-                for _ in 0..way_i {
-                    bits &= bits - 1;
-                }
-                bits.trailing_zeros()
-            };
-            let unit = ((g.chip_index(channel, way) as u64 * g.dies as u64 + die as u64)
-                * g.planes as u64
-                + plane as u64) as usize;
             // Program into the open block, replacing it when exhausted. A
             // block is released from `open` the moment it fills, so garbage
             // collection (which only reclaims Full blocks) can never erase a
@@ -298,6 +305,79 @@ impl PageAllocator {
             // This plane is exhausted; try the next unit in stripe order.
         }
         Err(OutOfSpace)
+    }
+
+    /// Whether nothing was ever allocated: the stripe sequence is at 0 and
+    /// no block is open.
+    pub(crate) fn is_fresh(&self) -> bool {
+        self.seq == 0 && self.open.iter().all(Option::is_none)
+    }
+
+    /// The sequence number of the allocation that opens block number
+    /// `opening` (0-based) when a fresh allocator stripes over the full way
+    /// mask of a fresh device and skips no unit. Allocation `s` lands on
+    /// stripe position `s % U` of the `U` plane units and fills that unit's
+    /// blocks in order, so it opens a block exactly when its stripe row
+    /// `s / U` is a multiple of the pages per block: the first `U`
+    /// allocations of every `U × pages_per_block` open one block each.
+    pub(crate) fn fresh_opening_seq(g: &Geometry, opening: u64) -> u64 {
+        let units = g.plane_count();
+        opening / units * units * g.pages_per_block as u64 + opening % units
+    }
+
+    /// Makes `pages` allocations at once: the end state that `pages` calls
+    /// of [`PageAllocator::allocate_with_reserve`] under the full way mask
+    /// leave on a fresh allocator and a fresh device when none of them
+    /// skips a unit (no plane runs dry, the reserve is never reached).
+    /// Stripe position `r` receives allocations `r, r + U, r + 2U, …`,
+    /// which fill its unit's blocks in free-stack order; each such block
+    /// run is taken and programmed in one step, and the block a unit is
+    /// left partway through stays its open block. `placed(s, ppn, len)` is
+    /// called for every run: allocations `s + j·U` programmed pages
+    /// `ppn + j` for `j < len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this allocator is not fresh or a plane runs out of free
+    /// blocks.
+    pub(crate) fn fill_fresh(
+        &mut self,
+        blocks: &mut BlockTable,
+        pages: u64,
+        mut placed: impl FnMut(u64, Ppn, u32),
+    ) {
+        assert!(self.is_fresh(), "bulk allocation needs a fresh allocator");
+        let g = *blocks.geometry();
+        let all = WayMask::all(g.ways).bits();
+        let units: Vec<usize> = (0..g.plane_count())
+            .map(|s| self.unit_at(s, &g, all, g.ways))
+            .collect();
+        let u = units.len() as u64;
+        let ppb = g.pages_per_block as u64;
+        let clock = blocks.op_clock();
+        for row0 in (0..pages.div_ceil(u)).step_by(ppb as usize) {
+            for (r, &unit) in (0u64..).zip(&units) {
+                let rows = pages / u + u64::from(r < pages % u);
+                let len = rows.saturating_sub(row0).min(ppb);
+                if len == 0 {
+                    // Later positions have no more rows than this one.
+                    break;
+                }
+                let pbn = blocks
+                    .take_free_block(unit)
+                    .expect("a plane ran out of free blocks during a bulk allocation");
+                let first = row0 * u + r;
+                let last = first + (len - 1) * u;
+                // Allocation `s` is the device's `s + 1`-th program since
+                // `clock`.
+                let ppn = blocks.program_fresh_run(pbn, len as u32, clock + last + 1);
+                placed(first, ppn, len as u32);
+                if len < ppb {
+                    self.open[unit] = Some(pbn);
+                }
+            }
+        }
+        self.seq = pages;
     }
 
     /// Number of pages allocated so far.

@@ -324,6 +324,47 @@ impl BlockTable {
         Some(self.geometry.ppn_in_block(pbn, page))
     }
 
+    /// Programs pages `0..pages` of `pbn` in one step: the state `pages`
+    /// calls of [`BlockTable::program_next_page`] leave, the last of them at
+    /// program-counter value `last_program`. The counter moves to
+    /// `last_program` if it is behind; the caller owns the numbering of the
+    /// programs in between. Returns the block's first page.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `pbn` was just taken ([`BlockState::Open`] with
+    /// nothing programmed and an empty bitmap), or if `pages` is 0 or more
+    /// than the block holds.
+    pub(crate) fn program_fresh_run(&mut self, pbn: Pbn, pages: u32, last_program: u64) -> Ppn {
+        let ppb = self.geometry.pages_per_block;
+        assert!(
+            pages > 0 && pages <= ppb,
+            "programming {pages} pages into a block of {ppb}"
+        );
+        let (meta, bits) = self.meta_bits_mut(pbn);
+        assert!(
+            meta.state == BlockState::Open
+                && meta.write_ptr == 0
+                && meta.valid_count == 0
+                && bits.iter().all(|&w| w == 0),
+            "bulk-programming block {pbn}, which was not freshly taken"
+        );
+        let (whole, rest) = ((pages / 64) as usize, pages % 64);
+        bits[..whole].fill(u64::MAX);
+        if rest > 0 {
+            bits[whole] = (1 << rest) - 1;
+        }
+        meta.valid_count = pages;
+        meta.write_ptr = pages;
+        meta.last_program = last_program;
+        if pages == ppb {
+            meta.state = BlockState::Full;
+        }
+        self.touch(pbn);
+        self.op_clock = self.op_clock.max(last_program);
+        self.geometry.ppn_in_block(pbn, 0)
+    }
+
     /// Marks `ppn` invalid (its LPN was overwritten or trimmed).
     ///
     /// # Panics

@@ -707,20 +707,44 @@ impl Ftl {
     /// overwrites to fragment the blocks, running instant GC as needed.
     /// Counters are reset afterwards so experiments start clean.
     ///
+    /// On a fresh device (nothing mapped or ever allocated, every block
+    /// free, the full write mask) the fill is periodic in the stripe order:
+    /// write `l` lands on stripe position `l % U` of the `U` plane units,
+    /// and each unit fills its blocks in free-stack order. The fill is then
+    /// built block run by block run instead of page by page, up to the
+    /// first write that would find GC due. Those writes draw no randomness
+    /// and skip no stripe unit, and the mapping, block table, allocator
+    /// frontier, program counter and counters end exactly as page-by-page
+    /// writes leave them, so the rest of the fill, the overwrites and
+    /// everything after run from the identical state.
+    ///
     /// # Errors
     ///
-    /// Propagates allocation failures (which indicate an infeasible
-    /// fill/OP combination).
+    /// [`FtlError::Config`] if `fill_fraction` is outside `[0, 1]` or
+    /// `overwrite_fraction` outside `[0, 2]` (NaN included), and allocation
+    /// failures (which indicate an infeasible fill/OP combination).
     pub fn precondition<R: Rng>(
         &mut self,
         fill_fraction: f64,
         overwrite_fraction: f64,
         rng: &mut R,
     ) -> Result<(), FtlError> {
-        assert!((0.0..=1.0).contains(&fill_fraction));
-        assert!((0.0..=2.0).contains(&overwrite_fraction));
+        if !(0.0..=1.0).contains(&fill_fraction) {
+            return Err(FtlError::Config(format!(
+                "fill fraction {fill_fraction} outside [0, 1]"
+            )));
+        }
+        if !(0.0..=2.0).contains(&overwrite_fraction) {
+            return Err(FtlError::Config(format!(
+                "overwrite fraction {overwrite_fraction} outside [0, 2]"
+            )));
+        }
         let filled = (self.logical_pages as f64 * fill_fraction) as u64;
-        for l in 0..filled {
+        let bulk = self.bulk_fill_len(filled);
+        if bulk > 0 {
+            self.bulk_fill(bulk);
+        }
+        for l in bulk..filled {
             self.write_with_instant_gc(Lpn::new(l), rng)?;
         }
         let overwrites = (self.logical_pages as f64 * overwrite_fraction) as u64;
@@ -750,6 +774,59 @@ impl Ftl {
         }
         self.stats = FtlStats::default();
         Ok(())
+    }
+
+    /// How many of the first `filled` fill writes [`Ftl::bulk_fill`] can
+    /// place: 0 unless the device is fresh, else the longest prefix in
+    /// which no write finds GC due. [`FtlConfig::validate`] keeps the GC
+    /// reserve below the trigger watermark, so no write in that prefix
+    /// finds only the reserve free or a plane run dry: each is one
+    /// allocation that skips no unit, and write `i` has seen exactly the
+    /// blocks opened by writes `0..i`.
+    fn bulk_fill_len(&self, filled: u64) -> u64 {
+        let g = &self.geometry;
+        let blocks = g.block_count();
+        let fresh = self.mapping.mapped_pages() == 0
+            && self.blocks.free_blocks() == blocks
+            && self.user_alloc.is_fresh()
+            && self.write_mask == WayMask::all(g.ways);
+        if !fresh {
+            return 0;
+        }
+        // needs_gc()'s comparison (`free_ratio()` is this quotient) at any
+        // free-block count. GC is due at every count up to `due_free`:
+        // nudge the float estimate onto that comparison.
+        let trigger = self.config.gc.trigger_free_ratio;
+        let gc_due_at = |free: u64| free as f64 / blocks as f64 <= trigger;
+        let mut due_free = (blocks as f64 * trigger) as u64;
+        while due_free < blocks && gc_due_at(due_free + 1) {
+            due_free += 1;
+        }
+        while due_free > 0 && !gc_due_at(due_free) {
+            due_free -= 1;
+        }
+        debug_assert!(due_free >= self.gc_reserve_blocks());
+        // The write after the one that opens block number `blocks -
+        // due_free` (counting from 1) is the first to see `due_free`.
+        match blocks - due_free {
+            0 => 0,
+            opened => filled.min(PageAllocator::fresh_opening_seq(g, opened - 1) + 1),
+        }
+    }
+
+    /// Host-writes LPNs `0..pages` of a fresh device at once: the state
+    /// `pages` calls of [`Ftl::write`] leave when [`Ftl::bulk_fill_len`]
+    /// allows them. On a fresh device write `l` is allocation `l`, so the
+    /// allocator's runs map stride-`U` LPN runs, and no LPN has a
+    /// relocation generation for a host write to reset.
+    fn bulk_fill(&mut self, pages: u64) {
+        let units = self.geometry.plane_count();
+        let mapping = &mut self.mapping;
+        self.user_alloc
+            .fill_fresh(&mut self.blocks, pages, |first, ppn, len| {
+                mapping.map_fresh_run(first, units, ppn, len);
+            });
+        self.stats.host_writes += pages;
     }
 
     fn write_with_instant_gc<R: Rng>(&mut self, lpn: Lpn, rng: &mut R) -> Result<(), FtlError> {
@@ -1397,5 +1474,220 @@ mod tests {
         let pbn = ftl.geometry().pbn_of(out.ppn);
         let live = ftl.live_pages(pbn);
         assert_eq!(live, vec![(Lpn::new(9), out.ppn)]);
+    }
+
+    /// [`Ftl::precondition`]'s sequential fill of `fill` of the logical
+    /// space, one [`Ftl::write`] at a time with its instant GC, then its
+    /// counter reset: the reference the bulk fill must reproduce.
+    fn fill_page_by_page(ftl: &mut Ftl, fill: f64, rng: &mut DetRng) -> Result<(), FtlError> {
+        let filled = (ftl.logical_pages() as f64 * fill) as u64;
+        for l in 0..filled {
+            ftl.write_with_instant_gc(Lpn::new(l), rng)?;
+        }
+        ftl.stats = FtlStats::default();
+        Ok(())
+    }
+
+    fn saved(ftl: &Ftl) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        ftl.ckpt_save(&mut w);
+        w.into_bytes()
+    }
+
+    /// The fill fraction `precondition` turns into exactly `pages` writes.
+    fn fill_of(ftl: &Ftl, pages: u64) -> f64 {
+        if pages >= ftl.logical_pages() {
+            1.0
+        } else {
+            (pages as f64 + 0.5) / ftl.logical_pages() as f64
+        }
+    }
+
+    /// Fills `ftl` with `precondition` and a clone of it page by page, and
+    /// checks both end with the same result, the same bytes and the same
+    /// RNG stream left. Returns how many writes the bulk path placed.
+    fn assert_fill_matches(mut ftl: Ftl, fill: f64, seed: u64) -> u64 {
+        let mut reference = ftl.clone();
+        let bulk = ftl.bulk_fill_len((ftl.logical_pages() as f64 * fill) as u64);
+        let mut rng = DetRng::seed_from_u64(seed);
+        let mut reference_rng = rng.clone();
+        let got = ftl.precondition(fill, 0.0, &mut rng);
+        let want = fill_page_by_page(&mut reference, fill, &mut reference_rng);
+        let c = ftl.config();
+        let g = c.geometry;
+        let what = format!(
+            "{} planes x {} blocks x {} pages, {}, trigger {}, fill {fill}",
+            g.plane_count(),
+            g.blocks_per_plane,
+            g.pages_per_block,
+            c.alloc_policy,
+            c.gc.trigger_free_ratio,
+        );
+        assert_eq!(got, want, "{what}");
+        assert!(saved(&ftl) == saved(&reference), "{what}: state differs");
+        assert!(rng == reference_rng, "{what}: RNG stream differs");
+        bulk
+    }
+
+    /// The GC-experiment geometry of the bench harness.
+    fn gc_scaled() -> Geometry {
+        Geometry {
+            blocks_per_plane: 16,
+            pages_per_block: 64,
+            ..Geometry::scaled()
+        }
+    }
+
+    /// A fresh FTL; `early_gc` moves the GC trigger to 14 % free, so a
+    /// full fill crosses it near its end and its tail runs instant GC.
+    fn fresh_ftl(geometry: Geometry, policy: AllocPolicy, early_gc: bool) -> Ftl {
+        let mut cfg = FtlConfig::evaluation_defaults();
+        cfg.geometry = geometry;
+        cfg.alloc_policy = policy;
+        cfg.gc.victims_per_trigger = 2;
+        if early_gc {
+            cfg.gc.trigger_free_ratio = 0.14;
+            cfg.gc.stop_free_ratio = 0.15;
+        }
+        Ftl::new(cfg).unwrap()
+    }
+
+    const POLICIES: [AllocPolicy; 3] = [AllocPolicy::Pcwd, AllocPolicy::Pwcd, AllocPolicy::Cwdp];
+
+    #[test]
+    fn bulk_fill_matches_page_by_page_writes_at_stripe_edges() {
+        for geometry in [Geometry::tiny(), gc_scaled()] {
+            let u = geometry.plane_count();
+            let run = u * geometry.pages_per_block as u64;
+            for policy in POLICIES {
+                for early_gc in [false, true] {
+                    let ftl = fresh_ftl(geometry, policy, early_gc);
+                    let logical = ftl.logical_pages();
+                    let cut = ftl.bulk_fill_len(logical);
+                    assert!(cut > 0 && (cut < logical) == early_gc);
+                    let fills = if geometry == Geometry::tiny() {
+                        vec![
+                            0,
+                            1,
+                            u - 1,
+                            u,
+                            u + 1,
+                            run - 1,
+                            run,
+                            run + 1,
+                            2 * run + u,
+                            cut - 1,
+                            cut,
+                            cut + 1,
+                            logical,
+                        ]
+                    } else {
+                        // Each GC-tail write scans every block: stop the
+                        // larger device a stripe past the trigger.
+                        vec![u + 1, run + 1, cut + 1, (cut + u).min(logical)]
+                    };
+                    for pages in fills {
+                        let fill = fill_of(&ftl, pages);
+                        let bulk = assert_fill_matches(ftl.clone(), fill, pages);
+                        assert_eq!(bulk, pages.min(cut));
+                    }
+                    if geometry == Geometry::tiny() {
+                        // With no overprovisioning a full fill runs out of
+                        // space. The counters are not reset then, so they
+                        // show each GC trigger and host write it made.
+                        let mut cfg = *ftl.config();
+                        cfg.op_ratio = 0.0;
+                        let full = Ftl::new(cfg).unwrap();
+                        let mut rng = DetRng::seed_from_u64(5);
+                        let out = full.clone().precondition(1.0, 0.0, &mut rng);
+                        assert_eq!(out, Err(FtlError::OutOfSpace));
+                        assert_fill_matches(full, 1.0, 5);
+                    }
+                }
+            }
+        }
+        // The experiment geometry, once per policy: a full fill, a fill
+        // across the trigger, and one ending mid-stripe.
+        let scaled = Geometry::scaled();
+        let u = scaled.plane_count();
+        let run = u * scaled.pages_per_block as u64;
+        let ftl = fresh_ftl(scaled, AllocPolicy::Pcwd, false);
+        assert_eq!(
+            assert_fill_matches(ftl.clone(), 1.0, 1),
+            ftl.logical_pages()
+        );
+        let ftl = fresh_ftl(scaled, AllocPolicy::Pwcd, true);
+        let cut = ftl.bulk_fill_len(ftl.logical_pages());
+        assert_fill_matches(ftl.clone(), fill_of(&ftl, cut + u), 2);
+        let ftl = fresh_ftl(scaled, AllocPolicy::Cwdp, false);
+        assert_fill_matches(ftl.clone(), fill_of(&ftl, 3 * run + u / 2), 3);
+    }
+
+    #[test]
+    fn bulk_fill_matches_page_by_page_writes_on_any_device() {
+        let mut gen = DetRng::seed_from_u64(0xB0F1);
+        for _ in 0..crate::CASES {
+            let geometry = if gen.gen_range(0..4u64) == 0 {
+                gc_scaled()
+            } else {
+                Geometry::tiny()
+            };
+            let policy = POLICIES[gen.gen_range(0..POLICIES.len())];
+            let mut ftl = fresh_ftl(geometry, policy, gen.gen_bool(0.5));
+            if gen.gen_bool(0.3) {
+                // A random-victim plan draws from the RNG in the GC tail.
+                ftl.config.gc.plan = Some(GcPlanSpec {
+                    victim: VictimSpec::Random,
+                    ..GcPolicy::Parallel.plan()
+                });
+            }
+            let mut fill = gen.gen_range(0..1001u64) as f64 / 1000.0;
+            // Devices that are not fresh take the page-by-page path.
+            let fresh = match gen.gen_range(0..4u64) {
+                0 => ftl.mark_manufacture_bad(0.02, &mut gen) == 0,
+                1 => {
+                    ftl.write(Lpn::new(gen.gen_range(0..ftl.logical_pages())))
+                        .unwrap();
+                    false
+                }
+                2 => {
+                    ftl.set_write_mask(WayMask::from_ways([0u32]));
+                    fill *= 0.4;
+                    false
+                }
+                _ => true,
+            };
+            let bulk = assert_fill_matches(ftl, fill, gen.gen_range(0..1000u64));
+            if !fresh {
+                assert_eq!(bulk, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_fill_marks_what_it_writes_for_the_audit() {
+        let mut ftl = fresh_ftl(Geometry::tiny(), AllocPolicy::Pwcd, true);
+        let mut audit = FtlAudit::new(ftl.geometry(), ftl.logical_pages());
+        assert!(audit.audit(&mut ftl).is_empty());
+        assert!(ftl.is_tracking_changes());
+        let filled = (ftl.logical_pages() as f64 * 0.6) as u64;
+        assert_eq!(ftl.bulk_fill_len(filled), filled);
+        ftl.precondition(0.6, 0.0, &mut DetRng::seed_from_u64(4))
+            .unwrap();
+        let mut blocks = ftl.blocks().changed_blocks().to_vec();
+        blocks.sort_unstable();
+        let written: Vec<u64> = ftl
+            .blocks()
+            .iter()
+            .filter(|(_, m)| m.state() != BlockState::Free)
+            .map(|(pbn, _)| pbn.raw())
+            .collect();
+        assert_eq!(blocks, written);
+        let (lpns, ppns) = ftl.mapping().changed_entries();
+        assert_eq!(lpns.len() as u64, filled);
+        assert_eq!(ppns.len() as u64, filled);
+        let incremental = audit.audit(&mut ftl);
+        assert_eq!(incremental, ftl.check_invariants());
+        assert!(incremental.is_empty(), "{incremental:?}");
     }
 }

@@ -210,6 +210,43 @@ impl MappingTable {
         (old != UNMAPPED).then(|| Ppn::new(old))
     }
 
+    /// Maps the `len` LPNs `first_lpn + j·lpn_stride` to the consecutive
+    /// pages `first_ppn + j`, as `len` calls of [`MappingTable::map`] would
+    /// when every one of those LPNs is unmapped and every page unowned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range, an LPN is already mapped or a
+    /// page already owned.
+    pub(crate) fn map_fresh_run(
+        &mut self,
+        first_lpn: u64,
+        lpn_stride: u64,
+        first_ppn: Ppn,
+        len: u32,
+    ) {
+        let p0 = first_ppn.raw();
+        let lpn = |j: u64| first_lpn + j * lpn_stride;
+        if self.changes.is_some() {
+            for j in 0..len as u64 {
+                self.record(&[lpn(j)], &[p0 + j]);
+            }
+        }
+        let owners = &mut self.p2l[p0 as usize..(p0 + len as u64) as usize];
+        for (j, owner) in (0u64..).zip(owners) {
+            let l = lpn(j);
+            let entry = &mut self.l2p[l as usize];
+            assert!(
+                *entry == UNMAPPED && *owner == UNMAPPED,
+                "bulk-mapping lpn{l} to ppn{}, which is not fresh",
+                p0 + j
+            );
+            *entry = p0 + j;
+            *owner = l;
+        }
+        self.mapped += len as u64;
+    }
+
     /// Unmaps `lpn` (trim), returning its former physical page.
     ///
     /// # Panics

@@ -11,10 +11,18 @@
 //! A second identity is asserted along the way: re-serializing a freshly
 //! resumed simulator must reproduce the checkpoint bytes exactly —
 //! save∘resume is the identity on the serialized form.
+//!
+//! A third gate covers device preparation: `prepare` fills a fresh device
+//! stripe by stripe, and its checkpoint must equal that of a device aged
+//! one FTL write at a time, for every golden configuration and every
+//! configuration the repository benchmark (`nssdbench`) runs.
 
 use networked_ssd::core::golden::{canonical_json, matrix};
-use networked_ssd::core::Checkpoint;
-use networked_ssd::sim::Pool;
+use networked_ssd::core::{Checkpoint, SsdSim};
+use networked_ssd::ftl::{Ftl, FtlError, Lpn};
+use networked_ssd::sim::{DetRng, Pool, Rng};
+use networked_ssd::{prepare, Aging, Architecture, Drive, GcPolicy, PaperWorkload, SsdConfig};
+use nssd_bench::setup;
 
 /// Event counts at which each case is snapshotted. Every golden case
 /// schedules well over 512 events, so at least two of these land mid-run;
@@ -124,4 +132,108 @@ fn oracle_digest_is_live_across_the_matrix() {
             case.file_name()
         );
     }
+}
+
+/// One host write of `Ftl::precondition`'s page-by-page loop: instant GC
+/// first when it is due, and once more when the write finds no space.
+fn write_with_instant_gc(ftl: &mut Ftl, lpn: u64, rng: &mut DetRng) {
+    if ftl.needs_gc() {
+        ftl.instant_gc(rng).unwrap();
+    }
+    match ftl.write(Lpn::new(lpn)) {
+        Ok(_) => {}
+        Err(FtlError::OutOfSpace) => {
+            ftl.instant_gc(rng).unwrap();
+            ftl.write(Lpn::new(lpn)).unwrap();
+        }
+        Err(e) => panic!("write lpn{lpn}: {e}"),
+    }
+}
+
+/// `prepare`, with the fill and the overwrites done one public FTL call at
+/// a time: the reference the stripe-by-stripe fill must reproduce.
+fn prepare_page_by_page(cfg: SsdConfig, drive: &Drive, aging: Aging) -> SsdSim {
+    let mut sim = SsdSim::new(cfg).unwrap();
+    let logical = sim.ftl().logical_pages();
+    let footprint_pages = drive
+        .footprint_bytes()
+        .div_ceil(cfg.geometry.page_bytes as u64);
+    let mut rng = sim.rng_mut().clone();
+    let ftl = sim.ftl_mut();
+    let (fill, overwrite) = match aging {
+        Aging::Footprint => (
+            ((footprint_pages + 1) as f64 / logical as f64).min(1.0),
+            0.0,
+        ),
+        Aging::Aged { fill, overwrite } => (fill, overwrite),
+    };
+    let filled = (logical as f64 * fill) as u64;
+    for l in 0..filled {
+        write_with_instant_gc(ftl, l, &mut rng);
+    }
+    for _ in 0..(logical as f64 * overwrite) as u64 {
+        let l = rng.gen_range(0..filled.max(1));
+        write_with_instant_gc(ftl, l, &mut rng);
+    }
+    // A zero fill on this (no longer fresh) device writes nothing and draws
+    // nothing: it only resets the counters, as the full call does.
+    ftl.precondition(0.0, 0.0, &mut rng).unwrap();
+    if let Aging::Aged { .. } = aging {
+        ftl.pressurize(filled.max(1), &mut rng).unwrap();
+    }
+    sim
+}
+
+fn assert_prepared_like_page_by_page(name: &str, cfg: SsdConfig, drive: &Drive, aging: Aging) {
+    let prepared = Checkpoint::save(&prepare(cfg, drive, aging).unwrap());
+    let reference = Checkpoint::save(&prepare_page_by_page(cfg, drive, aging));
+    assert!(
+        prepared == reference,
+        "{name}: the prepared device differs from the page-by-page one"
+    );
+}
+
+#[test]
+fn prepare_matches_page_by_page_aging_for_golden_configs() {
+    for case in matrix() {
+        let (_, drive) = case.prepare().unwrap();
+        assert_prepared_like_page_by_page(&case.file_name(), case.config(), &drive, case.aging());
+    }
+}
+
+#[test]
+fn prepare_matches_page_by_page_aging_for_benchmark_configs() {
+    let seed = setup::EXPERIMENT_SEED;
+    let io = |arch| {
+        let cfg = setup::io_config(arch);
+        let trace = PaperWorkload::YcsbA.generate(60_000, setup::io_footprint(&cfg), seed);
+        (cfg, trace, Aging::Footprint)
+    };
+    let gc = |cfg: SsdConfig| {
+        let trace = PaperWorkload::RocksDb1.generate(20_000, setup::gc_footprint(&cfg), seed);
+        (cfg, trace, setup::GC_AGING)
+    };
+    let spatial = setup::gc_config(Architecture::PnSsdSplit, GcPolicy::Spatial);
+    let mut oracle = spatial;
+    oracle.oracle = true;
+    let cells = [
+        io(Architecture::BaseSsd),
+        io(Architecture::PSsd),
+        io(Architecture::PnSsdSplit),
+        gc(spatial),
+        gc(setup::gc_config(Architecture::BaseSsd, GcPolicy::Parallel)),
+        gc(oracle),
+    ];
+    // Two workers: each scaled-geometry cell holds two ~32 MB checkpoints.
+    let jobs: Vec<_> = cells
+        .into_iter()
+        .map(|(cfg, trace, aging)| {
+            move || {
+                let name = format!("{} oracle={} {aging:?}", cfg.architecture, cfg.oracle);
+                let drive = Drive::OpenLoop(trace.into_records());
+                assert_prepared_like_page_by_page(&name, cfg, &drive, aging);
+            }
+        })
+        .collect();
+    Pool::with_workers(2).map(jobs);
 }

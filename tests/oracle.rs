@@ -11,7 +11,7 @@
 
 use networked_ssd::core::{prepare, Aging, Checkpoint, Drive, SsdSim};
 use networked_ssd::flash::{Geometry, Ppn};
-use networked_ssd::ftl::{Ftl, FtlConfig, Lpn, Relocation, WayMask};
+use networked_ssd::ftl::{AllocPolicy, Ftl, FtlConfig, Lpn, Relocation, WayMask};
 use networked_ssd::host::{IoOp, IoRequest};
 use networked_ssd::oracle::Oracle;
 use networked_ssd::sim::{DetRng, SimTime};
@@ -56,6 +56,37 @@ fn clean_runs_have_zero_violations_under_every_gc_policy() {
             "{policy}: {:?}",
             report.oracle.violations
         );
+    }
+}
+
+/// `prepare` fills a fresh device stripe by stripe; the oracle adopts that
+/// state and every later audit and shadow check stays clean, for every
+/// striping order and both agings.
+#[test]
+fn bulk_filled_devices_run_clean_under_the_oracle() {
+    for policy in [AllocPolicy::Pcwd, AllocPolicy::Pwcd, AllocPolicy::Cwdp] {
+        let mut cfg = oracle_cfg(Architecture::PnSsd, Some(GcPolicy::Parallel));
+        cfg.alloc_policy = policy;
+        let trace = PaperWorkload::YcsbA.generate(150, cfg.logical_bytes() / 2, 29);
+        let aged = Aging::Aged {
+            fill: 0.85,
+            overwrite: 0.3,
+        };
+        for aging in [Aging::Footprint, aged] {
+            let drive = Drive::OpenLoop(trace.records().to_vec());
+            let sim = prepare(cfg, &drive, aging).unwrap();
+            assert!(
+                sim.ftl().check_invariants().is_empty(),
+                "{policy} {aging:?}"
+            );
+            let report = sim.run(drive);
+            assert!(report.oracle.checks > 0, "{policy} {aging:?}");
+            assert!(
+                report.oracle.violations.is_empty(),
+                "{policy} {aging:?}: {:?}",
+                report.oracle.violations
+            );
+        }
     }
 }
 
