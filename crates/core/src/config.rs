@@ -5,10 +5,10 @@ use core::fmt;
 
 use nssd_faults::FaultConfig;
 use nssd_flash::{FlashTiming, Geometry};
-use nssd_ftl::{AllocPolicy, GcConfig, PlacementSpec, RedundancyConfig};
+use nssd_ftl::{AllocPolicy, FtlConfig, GcConfig, RedundancyConfig};
 use nssd_host::HostParams;
 use nssd_interconnect::{BusParams, MeshParams};
-use nssd_sim::SimTime;
+use nssd_sim::{ConfigError, SimTime};
 
 /// The SSD architectures compared in the evaluation (Table III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -209,12 +209,6 @@ impl EccConfig {
     }
 }
 
-impl Default for EccConfig {
-    fn default() -> Self {
-        EccConfig::ideal()
-    }
-}
-
 /// Full simulator configuration.
 ///
 /// # Examples
@@ -248,34 +242,20 @@ pub struct SsdConfig {
     /// paced background rebuild. When off, a failed chip's live pages are
     /// lost and reads of them are host I/O errors.
     pub redundancy: RedundancyConfig,
-    /// Flash channel transfer rate (MT/s); Table II: 1000.
-    pub channel_mts: u64,
     /// Baseline channel width in bits; Table II: 8 (pSSD widens to 16,
     /// pnSSD splits into 8+8).
     pub base_width_bits: u32,
     /// One control-plane (SoC) message latency for Omnibus handshakes.
     pub ctrl_msg_latency: SimTime,
-    /// Per-hop router latency of the NoSSD mesh.
-    pub mesh_hop_latency: SimTime,
     /// Window width for per-channel utilization recording (Fig 3).
     pub util_window: SimTime,
     /// ECC provisioning (§VIII).
     pub ecc: EccConfig,
-    /// Number of FTL cores in the controller's multi-core subsystem
-    /// (Fig 2); each page-level translation/allocation occupies one core
-    /// for [`SsdConfig::ftl_page_latency`].
-    pub ftl_cores: u32,
-    /// FTL compute time per page operation. Zero (the default) models the
+    /// FTL compute time per page operation, on one of the
+    /// [`SsdConfig::FTL_CORES`] cores. Zero (the default) models the
     /// paper's provisioned-out FTL; raise it to study the intro's point
     /// that FTL compute scales with flash bandwidth.
     pub ftl_page_latency: SimTime,
-    /// Interconnect energy per byte moved over one bus/channel traversal
-    /// (illustrative constant; only the *ratios* between architectures are
-    /// meaningful).
-    pub pj_per_byte_channel: f64,
-    /// Interconnect energy per byte per mesh hop (link + router), which is
-    /// why the paper rules out multi-hop NoSSD topologies.
-    pub pj_per_byte_hop: f64,
     /// RNG seed (victim randomization, GC destination choice).
     pub seed: u64,
     /// Fault injection (off by default: a zero-rate configuration draws no
@@ -290,27 +270,37 @@ pub struct SsdConfig {
 }
 
 impl SsdConfig {
+    /// Flash channel transfer rate (MT/s); Table II: 1000.
+    pub const CHANNEL_MTS: u64 = 1000;
+    /// FTL cores in the controller's multi-core subsystem (Fig 2); each
+    /// page-level translation/allocation occupies one core for
+    /// [`SsdConfig::ftl_page_latency`].
+    pub const FTL_CORES: usize = 4;
+    /// Interconnect energy per byte moved over one bus/channel traversal
+    /// (illustrative constant; only the *ratios* between architectures are
+    /// meaningful).
+    pub const PJ_PER_BYTE_CHANNEL: f64 = 15.0;
+    /// Interconnect energy per byte per mesh hop (link + router), which is
+    /// why the paper rules out multi-hop NoSSD topologies.
+    pub const PJ_PER_BYTE_HOP: f64 = 18.0;
+
     /// Default experiment configuration on the capacity-scaled geometry.
     pub fn new(architecture: Architecture) -> Self {
+        let ftl = FtlConfig::evaluation_defaults();
         SsdConfig {
             architecture,
-            geometry: Geometry::scaled(),
+            geometry: ftl.geometry,
             timing: FlashTiming::ull(),
-            alloc_policy: AllocPolicy::Pcwd,
-            op_ratio: 0.125,
-            endurance_limit: None,
-            gc: GcConfig::evaluation_defaults(),
-            redundancy: RedundancyConfig::off(),
-            channel_mts: 1000,
+            alloc_policy: ftl.alloc_policy,
+            op_ratio: ftl.op_ratio,
+            endurance_limit: ftl.endurance_limit,
+            gc: ftl.gc,
+            redundancy: ftl.redundancy,
             base_width_bits: 8,
             ctrl_msg_latency: SimTime::from_ns(100),
-            mesh_hop_latency: SimTime::from_ns(5),
             util_window: SimTime::from_us(100),
             ecc: EccConfig::ideal(),
-            ftl_cores: 4,
             ftl_page_latency: SimTime::ZERO,
-            pj_per_byte_channel: 15.0,
-            pj_per_byte_hop: 18.0,
             seed: 0x55D,
             faults: FaultConfig::off(),
             oracle: false,
@@ -353,40 +343,46 @@ impl SsdConfig {
         cfg
     }
 
-    /// Host-visible logical capacity in bytes. Mirrors the FTL's capacity
-    /// computation, including the parity reservation when redundancy is on.
-    pub fn logical_bytes(&self) -> u64 {
-        let mut pages = (self.geometry.page_count() as f64 * (1.0 - self.op_ratio)).floor() as u64;
-        if self.redundancy.enabled {
-            let sw = self.redundancy.stripe_width as u64;
-            pages = pages * (sw - 1) / sw;
+    /// The FTL's view of this configuration — the only projection from
+    /// `SsdConfig` to [`FtlConfig`].
+    pub fn ftl_config(&self) -> FtlConfig {
+        FtlConfig {
+            geometry: self.geometry,
+            alloc_policy: self.alloc_policy,
+            op_ratio: self.op_ratio,
+            endurance_limit: self.endurance_limit,
+            gc: self.gc,
+            redundancy: self.redundancy,
         }
-        pages * self.geometry.page_bytes as u64
+    }
+
+    /// Host-visible logical capacity in bytes, as the FTL computes it
+    /// (parity reservation included when redundancy is on).
+    pub fn logical_bytes(&self) -> u64 {
+        self.ftl_config().logical_pages() * self.geometry.page_bytes as u64
     }
 
     /// The h-channel bus parameters for this architecture.
     pub fn h_bus(&self) -> BusParams {
         match self.architecture {
             // pSSD doubles the width with the repurposed control pins.
-            Architecture::PSsd => BusParams::new(self.channel_mts, self.base_width_bits * 2),
+            Architecture::PSsd => BusParams::new(Self::CHANNEL_MTS, self.base_width_bits * 2),
             // pnSSD keeps the h-channel at base width and adds v-channels.
-            _ => BusParams::new(self.channel_mts, self.base_width_bits),
+            _ => BusParams::new(Self::CHANNEL_MTS, self.base_width_bits),
         }
     }
 
     /// The v-channel bus parameters (pnSSD variants).
     pub fn v_bus(&self) -> BusParams {
-        BusParams::new(self.channel_mts, self.base_width_bits)
+        BusParams::new(Self::CHANNEL_MTS, self.base_width_bits)
     }
 
     /// The NoSSD mesh parameters for this architecture.
     pub fn mesh_params(&self) -> MeshParams {
-        let mut p = match self.architecture {
+        match self.architecture {
             Architecture::NoSsdPinConstrained => MeshParams::pin_constrained(),
             _ => MeshParams::unconstrained(),
-        };
-        p.hop_latency = self.mesh_hop_latency;
-        p
+        }
     }
 
     /// Aggregate flash-side bandwidth (drives the host-pipe provisioning,
@@ -407,44 +403,35 @@ impl SsdConfig {
         HostParams::scaled_to_flash(self.total_flash_bps())
     }
 
-    /// Validates the configuration.
+    /// Validates the configuration: the FTL's view through
+    /// [`FtlConfig::validate`], then the rules on fields only the device
+    /// configuration holds.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        self.geometry.validate().map_err(|e| e.to_string())?;
-        self.gc.validate()?;
-        if !(0.0..0.9).contains(&self.op_ratio) {
-            return Err("op_ratio must be in [0, 0.9)".into());
-        }
-        if self.channel_mts == 0 || self.base_width_bits == 0 {
-            return Err("bus parameters must be nonzero".into());
+    /// Returns a [`ConfigError`] naming the first invalid field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.ftl_config().validate()?;
+        if self.base_width_bits == 0 {
+            return ConfigError::err("base_width_bits", "must be nonzero");
         }
         if self.architecture.has_v_channels() && self.geometry.ways < 2 {
-            return Err("Omnibus needs at least two ways".into());
-        }
-        let spatial = self
-            .gc
-            .plan
-            .is_some_and(|p| p.placement == PlacementSpec::Spatial);
-        if spatial && self.geometry.ways < 2 {
-            return Err("spatial GC needs at least two ways".into());
+            return ConfigError::err("geometry.ways", "Omnibus needs at least two ways");
         }
         if self.util_window.is_zero() {
-            return Err("utilization window must be nonzero".into());
+            return ConfigError::err("util_window", "must be nonzero");
         }
-        if self.ftl_cores == 0 {
-            return Err("ftl_cores must be nonzero".into());
-        }
-        self.redundancy.validate(&self.geometry)?;
         self.faults.validate()?;
         if let Some(spec) = self.faults.chip_failure {
-            if spec.channel >= self.geometry.channels || spec.way >= self.geometry.ways {
-                return Err(format!(
-                    "chip_failure at ({},{}) outside geometry {}x{}",
-                    spec.channel, spec.way, self.geometry.channels, self.geometry.ways
-                ));
+            let g = self.geometry;
+            if spec.channel >= g.channels || spec.way >= g.ways {
+                return ConfigError::err(
+                    "faults.chip_failure",
+                    format!(
+                        "at ({},{}) outside geometry {}x{}",
+                        spec.channel, spec.way, g.channels, g.ways
+                    ),
+                );
             }
         }
         Ok(())
@@ -521,10 +508,10 @@ mod tests {
     fn invalid_configs_rejected() {
         let mut c = SsdConfig::new(Architecture::BaseSsd);
         c.op_ratio = 0.95;
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate().unwrap_err().field, "op_ratio");
         let mut c = SsdConfig::new(Architecture::BaseSsd);
-        c.channel_mts = 0;
-        assert!(c.validate().is_err());
+        c.base_width_bits = 0;
+        assert_eq!(c.validate().unwrap_err().field, "base_width_bits");
     }
 
     #[test]
@@ -533,10 +520,7 @@ mod tests {
         c.geometry.ways = 1;
         c.validate().unwrap();
         c.gc.plan = Some(nssd_ftl::GcPolicy::Spatial.plan());
-        assert_eq!(
-            c.validate().unwrap_err(),
-            "spatial GC needs at least two ways"
-        );
+        assert_eq!(c.validate().unwrap_err().field, "gc.plan");
     }
 
     #[test]
@@ -550,7 +534,7 @@ mod tests {
         assert_eq!(c.logical_bytes(), plain / 2);
         // tiny() has 2 channels: a width-4 stripe cannot tile them.
         c.redundancy = RedundancyConfig::with_stripe(4);
-        assert!(c.validate().unwrap_err().contains("channels"));
+        assert_eq!(c.validate().unwrap_err().field, "redundancy.stripe_width");
     }
 
     #[test]

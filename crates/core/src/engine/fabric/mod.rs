@@ -302,8 +302,6 @@ pub(crate) fn build(cfg: &SsdConfig) -> Box<dyn FabricBackend> {
                 Omnibus::new(g.channels, g.ways, g.channels),
                 routing,
                 cfg.ctrl_msg_latency,
-                cfg.channel_mts,
-                cfg.base_width_bits,
             ))
         }
         Architecture::NoSsdPinConstrained | Architecture::NoSsdUnconstrained => Box::new(

@@ -34,8 +34,6 @@ pub(crate) struct OmnibusFabric {
     omni: Omnibus,
     routing: HostRouting,
     ctrl_msg_latency: SimTime,
-    channel_mts: u64,
-    base_width_bits: u32,
 }
 
 /// Which Omnibus path a single-path transfer uses.
@@ -52,8 +50,6 @@ impl OmnibusFabric {
         omni: Omnibus,
         routing: HostRouting,
         ctrl_msg_latency: SimTime,
-        channel_mts: u64,
-        base_width_bits: u32,
     ) -> Self {
         OmnibusFabric {
             h,
@@ -61,8 +57,6 @@ impl OmnibusFabric {
             omni,
             routing,
             ctrl_msg_latency,
-            channel_mts,
-            base_width_bits,
         }
     }
 
@@ -110,9 +104,11 @@ impl OmnibusFabric {
         let h_start = ctx.h_channels[addr.channel as usize].earliest_start(at);
         let (v, v_at) = self.v_ready(addr, at);
         let v_start = ctx.v_channels[v].earliest_start(v_at);
-        // Both channels move ~1 byte per ns (8-bit @ 1000 MT/s); equalize
-        // finish times: h_start + bytes_h = v_start + (page - bytes_h).
-        let ns_per_byte = 1_000.0 / (self.channel_mts as f64 * self.base_width_bits as f64 / 8.0);
+        // Both channels run at the v-channel's base width and rate (~1 byte
+        // per ns at 8-bit @ 1000 MT/s); equalize finish times:
+        // h_start + bytes_h = v_start + (page - bytes_h).
+        let p = self.v.params;
+        let ns_per_byte = 1_000.0 / (p.mega_transfers as f64 * p.width_bits as f64 / 8.0);
         let skew_bytes = (v_start.as_ns() as f64 - h_start.as_ns() as f64) / ns_per_byte;
         let bytes_h = ((page as f64 + skew_bytes) / 2.0)
             .round()

@@ -163,13 +163,6 @@ impl SsdSim {
             .ftl
             .select_gc_victims(victim_mask, plan.spec.victim, &mut self.rng);
         if victims.is_empty() {
-            if std::env::var("NSSD_GC_DEBUG").is_ok() {
-                eprintln!(
-                    "DBG gc starved at {}: free={:.3}",
-                    self.now,
-                    self.ftl.free_ratio()
-                );
-            }
             plan.placement.end_event(&mut self.ftl);
             self.gc.starved_until = self.now + SimTime::from_ms(1);
             return;
@@ -491,16 +484,6 @@ impl SsdSim {
     }
 
     fn finish_gc(&mut self) {
-        if std::env::var("NSSD_GC_DEBUG").is_ok() {
-            eprintln!(
-                "DBG gc event done at {}: copied={} erased={} free={:.3} starved_until={}",
-                self.now,
-                self.gc.pages_copied,
-                self.gc.blocks_erased,
-                self.ftl.free_ratio(),
-                self.gc.starved_until
-            );
-        }
         self.gc.active = false;
         self.gc.total_time += self.now - self.gc.started_at;
         self.gc.events_completed += 1;

@@ -16,10 +16,10 @@ use std::cell::RefCell;
 
 use nssd_faults::{FaultEngine, ReadFault, ReliabilityStats};
 use nssd_flash::{FlashChip, PageAddr, Pbn, Ppn};
-use nssd_ftl::{Ftl, FtlConfig, FtlError, Lpn, Relocation};
+use nssd_ftl::{Ftl, FtlError, Lpn, Relocation};
 use nssd_host::{HostFrontend, HostPipes, IoOp, IoRequest, SchedulerKind, TenantConfig};
 use nssd_oracle::Oracle;
-use nssd_sim::DetRng;
+use nssd_sim::{ConfigError, DetRng};
 use nssd_sim::{EventQueue, Histogram, Reservation, Resource, SimTime};
 
 use crate::{
@@ -297,19 +297,11 @@ impl SsdSim {
     ///
     /// # Errors
     ///
-    /// Returns a description of any invalid configuration field.
-    pub fn new(cfg: SsdConfig) -> Result<Self, String> {
+    /// Returns the [`ConfigError`] of [`SsdConfig::validate`].
+    pub fn new(cfg: SsdConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let g = cfg.geometry;
-        let mut ftl = Ftl::new(FtlConfig {
-            geometry: g,
-            alloc_policy: cfg.alloc_policy,
-            op_ratio: cfg.op_ratio,
-            endurance_limit: cfg.endurance_limit,
-            gc: cfg.gc,
-            redundancy: cfg.redundancy,
-        })
-        .map_err(|e| e.to_string())?;
+        let mut ftl = Ftl::new(cfg.ftl_config())?;
         // Factory bad blocks are retired before the device ever serves I/O;
         // with a zero rate this draws no randomness at all.
         let mut faults = FaultEngine::new(cfg.faults);
@@ -342,8 +334,8 @@ impl SsdSim {
             h_channels,
             v_channels,
             mesh_links,
-            ftl_cores: (0..cfg.ftl_cores).map(|_| Resource::new()).collect(),
-            ftl_core_free: vec![SimTime::ZERO; cfg.ftl_cores as usize],
+            ftl_cores: (0..SsdConfig::FTL_CORES).map(|_| Resource::new()).collect(),
+            ftl_core_free: vec![SimTime::ZERO; SsdConfig::FTL_CORES],
             host: HostPipes::new(cfg.host_params()),
             fabric,
             arrivals: Vec::new(),
@@ -1252,18 +1244,18 @@ impl SsdSim {
             h_channel_mj: self
                 .h_channels
                 .iter()
-                .map(|c| bytes_of(c, h_bps) * self.cfg.pj_per_byte_channel * pj_to_mj)
+                .map(|c| bytes_of(c, h_bps) * SsdConfig::PJ_PER_BYTE_CHANNEL * pj_to_mj)
                 .sum(),
             v_channel_mj: self
                 .v_channels
                 .iter()
-                .map(|c| bytes_of(c, v_bps) * self.cfg.pj_per_byte_channel * pj_to_mj)
+                .map(|c| bytes_of(c, v_bps) * SsdConfig::PJ_PER_BYTE_CHANNEL * pj_to_mj)
                 .sum(),
             mesh_mj: {
                 let link_bps = self.cfg.mesh_params().link.bytes_per_sec();
                 self.mesh_links
                     .iter()
-                    .map(|c| bytes_of(c, link_bps) * self.cfg.pj_per_byte_hop * pj_to_mj)
+                    .map(|c| bytes_of(c, link_bps) * SsdConfig::PJ_PER_BYTE_HOP * pj_to_mj)
                     .sum()
             },
             host_bytes: self.host_bytes,
@@ -1346,12 +1338,11 @@ impl SsdSim {
 }
 
 /// Reserves one packetized data transfer on `res`, charging any
-/// CRC-detected retransmission (NAK signalling, back-off — exponentially
-/// growing when configured — then a full re-send) on the same channel
-/// timeline. With faults off this is exactly one clean reservation and
-/// draws no randomness. The `bool` reports whether the payload was
-/// eventually delivered intact; a `false` must surface as a host-visible
-/// I/O error on request paths.
+/// CRC-detected retransmission (NAK signalling, back-off, then a full
+/// re-send) on the same channel timeline. With faults off this is exactly
+/// one clean reservation and draws no randomness. The `bool` reports
+/// whether the payload was eventually delivered intact; a `false` must
+/// surface as a host-visible I/O error on request paths.
 pub(crate) fn reserve_with_link_faults(
     res: &mut Resource,
     faults: &mut FaultEngine,
@@ -1361,10 +1352,10 @@ pub(crate) fn reserve_with_link_faults(
     tag: usize,
 ) -> (Reservation, bool) {
     let out = faults.crc_transfer(bytes);
-    let link = faults.config().link;
+    let gap = faults.config().link.retry_gap();
     let mut r = res.reserve_tagged(at, dur, tag);
-    for attempt in 1..out.attempts {
-        r = res.reserve_tagged(r.end + link.retry_gap(attempt), dur, tag);
+    for _ in 1..out.attempts {
+        r = res.reserve_tagged(r.end + gap, dur, tag);
     }
     (r, out.delivered)
 }
@@ -1381,11 +1372,11 @@ mod tests {
     #[test]
     fn core_pick_matches_reference_scan() {
         let mut cfg = SsdConfig::tiny(crate::Architecture::BaseSsd);
-        cfg.ftl_cores = 3;
         cfg.ftl_page_latency = SimTime::from_ns(250);
         let dur = cfg.ftl_page_latency;
         let mut sim = SsdSim::new(cfg).unwrap();
-        let mut mirror: Vec<Resource> = (0..3).map(|_| Resource::new()).collect();
+        let mut mirror: Vec<Resource> =
+            (0..SsdConfig::FTL_CORES).map(|_| Resource::new()).collect();
         let mut now = SimTime::ZERO;
         for step in 0..500u64 {
             let got = sim.ftl_compute(now);

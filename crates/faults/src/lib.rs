@@ -40,7 +40,7 @@
 
 use core::fmt;
 
-use nssd_sim::{CkptError, CkptReader, CkptWriter, DetRng, Rng, SimTime};
+use nssd_sim::{CkptError, CkptReader, CkptWriter, ConfigError, DetRng, Rng, SimTime};
 
 /// Raw-bit-error and ECC-tier parameters for flash array reads.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,20 +51,12 @@ pub struct BitErrorConfig {
     pub pe_cycle_slope: f64,
     /// Additional RBER per second of retention (time since program).
     pub retention_slope: f64,
-    /// Bit errors the fast hard-decision decoder corrects for free (its
-    /// latency is part of the baseline read path).
-    pub fast_correct_bits: u32,
-    /// Bit errors the soft-decision decoder corrects, at the cost of
-    /// [`BitErrorConfig::soft_decode`] extra latency.
-    pub soft_correct_bits: u32,
-    /// Extra decode latency when the soft tier is needed.
+    /// Extra decode latency when the soft tier is needed
+    /// ([`BitErrorConfig::SOFT_CORRECT_BITS`]).
     pub soft_decode: SimTime,
     /// Maximum read-retry senses (each re-reads the array with shifted
     /// reference voltages, costing one full tR).
     pub max_read_retries: u32,
-    /// Multiplier applied to the effective RBER per retry sense; must be in
-    /// `(0, 1]`. Smaller means each retry is more effective.
-    pub retry_attenuation: f64,
 }
 
 impl Default for BitErrorConfig {
@@ -75,16 +67,23 @@ impl Default for BitErrorConfig {
             rber: 0.0,
             pe_cycle_slope: 0.0,
             retention_slope: 0.0,
-            fast_correct_bits: 16,
-            soft_correct_bits: 48,
             soft_decode: SimTime::from_us(10),
             max_read_retries: 8,
-            retry_attenuation: 0.5,
         }
     }
 }
 
 impl BitErrorConfig {
+    /// Bit errors the fast hard-decision decoder corrects for free (its
+    /// latency is part of the baseline read path).
+    pub const FAST_CORRECT_BITS: u64 = 16;
+    /// Bit errors the soft-decision decoder corrects, at the cost of
+    /// [`BitErrorConfig::soft_decode`] extra latency.
+    pub const SOFT_CORRECT_BITS: u64 = 48;
+    /// Multiplier applied to the effective RBER per retry sense: each
+    /// re-sense with shifted reference voltages halves the expected errors.
+    pub const RETRY_ATTENUATION: f64 = 0.5;
+
     fn enabled(&self) -> bool {
         self.rber > 0.0 || self.pe_cycle_slope > 0.0 || self.retention_slope > 0.0
     }
@@ -102,10 +101,6 @@ pub struct LinkFaultConfig {
     pub nak: SimTime,
     /// Back-off before the retransmission begins.
     pub backoff: SimTime,
-    /// Optional exponential back-off: retransmission `n` waits
-    /// `backoff × multiplier^(n-1)` instead of a constant `backoff`. Must
-    /// be strictly greater than 1.0 when set.
-    pub backoff_multiplier: Option<f64>,
 }
 
 impl Default for LinkFaultConfig {
@@ -115,23 +110,15 @@ impl Default for LinkFaultConfig {
             max_retries: 8,
             nak: SimTime::from_ns(100),
             backoff: SimTime::from_ns(200),
-            backoff_multiplier: None,
         }
     }
 }
 
 impl LinkFaultConfig {
-    /// The dead time between a failed attempt and retransmission `attempt`
-    /// (1-based): NAK signalling plus the (possibly exponentially growing)
-    /// back-off.
-    pub fn retry_gap(&self, attempt: u32) -> SimTime {
-        match self.backoff_multiplier {
-            Some(m) => {
-                let scaled = self.backoff.as_ns() as f64 * m.powi(attempt.saturating_sub(1) as i32);
-                self.nak + SimTime::from_ns(scaled.round() as u64)
-            }
-            None => self.nak + self.backoff,
-        }
+    /// The dead time between a failed attempt and its retransmission: NAK
+    /// signalling plus the back-off.
+    pub fn retry_gap(&self) -> SimTime {
+        self.nak + self.backoff
     }
 }
 
@@ -203,45 +190,31 @@ impl FaultConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        let be = &self.bit_error;
+    /// Returns a [`ConfigError`] naming the first invalid field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let (be, link, bad) = (&self.bit_error, &self.link, &self.bad_blocks);
         if !(0.0..=1e-2).contains(&be.rber) {
-            return Err("bit_error.rber must be in [0, 1e-2]".into());
+            return ConfigError::err("faults.bit_error.rber", "must be in [0, 1e-2]");
         }
-        if be.pe_cycle_slope < 0.0 || be.retention_slope < 0.0 {
-            return Err("bit_error slopes must be non-negative".into());
+        if !(0.0..).contains(&be.pe_cycle_slope) {
+            return ConfigError::err("faults.bit_error.pe_cycle_slope", "must be >= 0");
         }
-        if be.fast_correct_bits > be.soft_correct_bits {
-            return Err("fast_correct_bits must not exceed soft_correct_bits".into());
+        if !(0.0..).contains(&be.retention_slope) {
+            return ConfigError::err("faults.bit_error.retention_slope", "must be >= 0");
         }
-        if !(0.0..=1.0).contains(&be.retry_attenuation) || be.retry_attenuation == 0.0 {
-            return Err("retry_attenuation must be in (0, 1]".into());
+        if !(0.0..=1e-3).contains(&link.ber) {
+            return ConfigError::err("faults.link.ber", "must be in [0, 1e-3]");
         }
-        if !(0.0..=1e-3).contains(&self.link.ber) {
-            return Err("link.ber must be in [0, 1e-3]".into());
+        if link.max_retries > 64 {
+            return ConfigError::err("faults.link.max_retries", "must be at most 64");
         }
-        if self.link.max_retries > 64 {
-            return Err("link.max_retries must be at most 64".into());
+        if !(0.0..=0.05).contains(&bad.manufacture_rate) {
+            return ConfigError::err("faults.bad_blocks.manufacture_rate", "must be in [0, 0.05]");
         }
-        if let Some(m) = self.link.backoff_multiplier {
-            if !m.is_finite() || m <= 1.0 {
-                return Err("link.backoff_multiplier must be in (1.0, ..)".into());
-            }
-        }
-        if !(0.0..=0.05).contains(&self.bad_blocks.manufacture_rate) {
-            return Err("bad_blocks.manufacture_rate must be in [0, 0.05]".into());
-        }
-        if !(0.0..=0.01).contains(&self.bad_blocks.grown_rate) {
-            return Err("bad_blocks.grown_rate must be in [0, 0.01]".into());
+        if !(0.0..=0.01).contains(&bad.grown_rate) {
+            return ConfigError::err("faults.bad_blocks.grown_rate", "must be in [0, 0.01]");
         }
         Ok(())
-    }
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig::off()
     }
 }
 
@@ -466,14 +439,14 @@ impl FaultEngine {
         let mut extra = 0u32;
         loop {
             let errors = poisson(&mut self.rng, mean);
-            if errors <= be.fast_correct_bits as u64 {
+            if errors <= BitErrorConfig::FAST_CORRECT_BITS {
                 return ReadFault {
                     extra_senses: extra,
                     soft_decode: false,
                     uncorrectable: false,
                 };
             }
-            if errors <= be.soft_correct_bits as u64 {
+            if errors <= BitErrorConfig::SOFT_CORRECT_BITS {
                 self.stats.soft_decodes += 1;
                 return ReadFault {
                     extra_senses: extra,
@@ -491,7 +464,7 @@ impl FaultEngine {
             }
             extra += 1;
             self.stats.read_retries += 1;
-            mean *= be.retry_attenuation;
+            mean *= BitErrorConfig::RETRY_ATTENUATION;
         }
     }
 
@@ -871,26 +844,34 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_ranges() {
-        let mut cfg = FaultConfig::off();
-        assert!(cfg.validate().is_ok());
-        cfg.bit_error.rber = 0.5;
-        assert!(cfg.validate().is_err());
-        let mut cfg = FaultConfig::off();
-        cfg.bit_error.fast_correct_bits = 100;
-        cfg.bit_error.soft_correct_bits = 50;
-        assert!(cfg.validate().is_err());
-        let mut cfg = FaultConfig::off();
-        cfg.bit_error.retry_attenuation = 0.0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = FaultConfig::off();
-        cfg.link.ber = 0.5;
-        assert!(cfg.validate().is_err());
-        let mut cfg = FaultConfig::off();
-        cfg.bad_blocks.manufacture_rate = 0.5;
-        assert!(cfg.validate().is_err());
-        let mut cfg = FaultConfig::off();
-        cfg.bad_blocks.grown_rate = 0.5;
-        assert!(cfg.validate().is_err());
+        assert!(FaultConfig::off().validate().is_ok());
+        let field = |f: fn(&mut FaultConfig)| {
+            let mut cfg = FaultConfig::off();
+            f(&mut cfg);
+            cfg.validate().unwrap_err().field
+        };
+        assert_eq!(field(|c| c.bit_error.rber = 0.5), "faults.bit_error.rber");
+        assert_eq!(
+            field(|c| c.bit_error.rber = f64::NAN),
+            "faults.bit_error.rber"
+        );
+        assert_eq!(
+            field(|c| c.bit_error.retention_slope = -1.0),
+            "faults.bit_error.retention_slope"
+        );
+        assert_eq!(field(|c| c.link.ber = 0.5), "faults.link.ber");
+        assert_eq!(
+            field(|c| c.link.max_retries = 65),
+            "faults.link.max_retries"
+        );
+        assert_eq!(
+            field(|c| c.bad_blocks.manufacture_rate = 0.5),
+            "faults.bad_blocks.manufacture_rate"
+        );
+        assert_eq!(
+            field(|c| c.bad_blocks.grown_rate = 0.5),
+            "faults.bad_blocks.grown_rate"
+        );
     }
 
     #[test]
@@ -907,33 +888,6 @@ mod tests {
             at: SimTime::from_ms(1),
         });
         assert!(cfg.is_active());
-    }
-
-    #[test]
-    fn backoff_multiplier_validated_and_grows_gap() {
-        let mut cfg = FaultConfig::off();
-        cfg.link.backoff_multiplier = Some(2.0);
-        assert!(cfg.validate().is_ok());
-        for bad in [1.0, 0.5, -3.0, f64::NAN, f64::INFINITY] {
-            cfg.link.backoff_multiplier = Some(bad);
-            let err = cfg.validate().unwrap_err();
-            assert!(
-                err.contains("backoff_multiplier must be in (1.0, ..)"),
-                "{err}"
-            );
-        }
-        // Constant back-off without the multiplier...
-        let link = LinkFaultConfig::default();
-        assert_eq!(link.retry_gap(1), link.retry_gap(5));
-        assert_eq!(link.retry_gap(1), link.nak + link.backoff);
-        // ...exponential with it: 200ns, 400ns, 800ns after the NAK.
-        let link = LinkFaultConfig {
-            backoff_multiplier: Some(2.0),
-            ..Default::default()
-        };
-        assert_eq!(link.retry_gap(1), link.nak + SimTime::from_ns(200));
-        assert_eq!(link.retry_gap(2), link.nak + SimTime::from_ns(400));
-        assert_eq!(link.retry_gap(3), link.nak + SimTime::from_ns(800));
     }
 
     #[test]

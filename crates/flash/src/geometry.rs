@@ -7,6 +7,8 @@
 
 use core::fmt;
 
+use nssd_sim::ConfigError;
+
 /// Packed physical page number — a dense index over every page in the SSD.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ppn(u64);
@@ -198,35 +200,33 @@ impl Geometry {
         }
     }
 
-    /// Validates the geometry, returning a description of the first problem.
+    /// Validates the geometry.
     ///
     /// # Errors
     ///
-    /// Returns `Err` if any dimension is zero or the total page count
-    /// overflows `u64`.
-    pub fn validate(&self) -> Result<(), GeometryError> {
+    /// Returns a [`ConfigError`] naming the first zero dimension, or
+    /// `geometry` if the total page count overflows `u64`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         let dims = [
-            ("channels", self.channels),
-            ("ways", self.ways),
-            ("dies", self.dies),
-            ("planes", self.planes),
-            ("blocks_per_plane", self.blocks_per_plane),
-            ("pages_per_block", self.pages_per_block),
-            ("page_bytes", self.page_bytes),
+            ("geometry.channels", self.channels),
+            ("geometry.ways", self.ways),
+            ("geometry.dies", self.dies),
+            ("geometry.planes", self.planes),
+            ("geometry.blocks_per_plane", self.blocks_per_plane),
+            ("geometry.pages_per_block", self.pages_per_block),
+            ("geometry.page_bytes", self.page_bytes),
         ];
         for (name, v) in dims {
             if v == 0 {
-                return Err(GeometryError::ZeroDimension(name));
+                return ConfigError::err(name, "must be nonzero");
             }
         }
-        let total: u128 = self.channels as u128
-            * self.ways as u128
-            * self.dies as u128
-            * self.planes as u128
-            * self.blocks_per_plane as u128
-            * self.pages_per_block as u128;
-        if total > u64::MAX as u128 {
-            return Err(GeometryError::Overflow);
+        // Every dimension but `page_bytes` multiplies into the page count.
+        let pages = dims[..6]
+            .iter()
+            .try_fold(1u64, |n, &(_, d)| n.checked_mul(d as u64));
+        if pages.is_none() {
+            return ConfigError::err("geometry", "page count overflows u64");
         }
         Ok(())
     }
@@ -371,26 +371,6 @@ impl Default for Geometry {
     }
 }
 
-/// Error returned by [`Geometry::validate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GeometryError {
-    /// A dimension was zero.
-    ZeroDimension(&'static str),
-    /// The total page count does not fit in `u64`.
-    Overflow,
-}
-
-impl fmt::Display for GeometryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GeometryError::ZeroDimension(d) => write!(f, "geometry dimension `{d}` is zero"),
-            GeometryError::Overflow => write!(f, "geometry page count overflows u64"),
-        }
-    }
-}
-
-impl std::error::Error for GeometryError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,7 +466,30 @@ mod tests {
     fn validate_rejects_zero_dims() {
         let mut g = Geometry::tiny();
         g.planes = 0;
-        assert_eq!(g.validate(), Err(GeometryError::ZeroDimension("planes")));
+        assert_eq!(g.validate().unwrap_err().field, "geometry.planes");
+    }
+
+    #[test]
+    fn validate_rejects_page_count_overflow_without_panicking() {
+        // Six maxed dimensions overflow even a u128 product.
+        let g = Geometry {
+            channels: u32::MAX,
+            ways: u32::MAX,
+            dies: u32::MAX,
+            planes: u32::MAX,
+            blocks_per_plane: u32::MAX,
+            pages_per_block: u32::MAX,
+            page_bytes: 4096,
+        };
+        assert_eq!(g.validate().unwrap_err().field, "geometry");
+        let g = Geometry {
+            channels: 1 << 16,
+            ways: 1 << 16,
+            blocks_per_plane: 1 << 16,
+            pages_per_block: 1 << 16,
+            ..Geometry::tiny()
+        };
+        assert_eq!(g.validate().unwrap_err().field, "geometry");
     }
 
     #[test]

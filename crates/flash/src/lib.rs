@@ -35,7 +35,7 @@ mod timing;
 
 pub use chip::FlashChip;
 pub use command::FlashCommand;
-pub use geometry::{BlockAddr, Geometry, GeometryError, PageAddr, Pbn, Ppn};
+pub use geometry::{BlockAddr, Geometry, PageAddr, Pbn, Ppn};
 pub use timing::FlashTiming;
 
 #[cfg(test)]

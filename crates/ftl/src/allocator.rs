@@ -20,13 +20,19 @@ use crate::BlockTable;
 pub struct WayMask(u64);
 
 impl WayMask {
+    /// The most ways a mask can hold (one bit each).
+    pub const MAX_WAYS: u32 = 64;
+
     /// Permits all `ways` ways.
     ///
     /// # Panics
     ///
-    /// Panics if `ways` is 0 or exceeds 64.
+    /// Panics if `ways` is 0 or exceeds [`WayMask::MAX_WAYS`].
     pub fn all(ways: u32) -> Self {
-        assert!(ways > 0 && ways <= 64, "way count must be in 1..=64");
+        assert!(
+            ways > 0 && ways <= Self::MAX_WAYS,
+            "way count must be in 1..=64"
+        );
         if ways == 64 {
             WayMask(u64::MAX)
         } else {

@@ -8,8 +8,8 @@
 
 use core::fmt;
 
-use nssd_flash::{Geometry, GeometryError, Pbn, Ppn};
-use nssd_sim::{CkptError, CkptReader, CkptWriter, Rng};
+use nssd_flash::{Geometry, Pbn, Ppn};
+use nssd_sim::{CkptError, CkptReader, CkptWriter, ConfigError, Rng};
 
 use crate::{
     select_victims, AllocPolicy, BlockState, BlockTable, FtlAudit, GcConfig, Lpn, MappingTable,
@@ -51,49 +51,66 @@ impl FtlConfig {
         }
     }
 
-    /// Validates geometry and ratios.
+    /// Host-visible capacity in pages: the physical pages less the
+    /// overprovisioning, less one page per parity stripe when redundancy
+    /// is on.
+    pub fn logical_pages(&self) -> u64 {
+        let pages = (self.geometry.page_count() as f64 * (1.0 - self.op_ratio)).floor() as u64;
+        if self.redundancy.enabled {
+            let sw = self.redundancy.stripe_width as u64;
+            pages * (sw - 1) / sw
+        } else {
+            pages
+        }
+    }
+
+    /// Validates the geometry, the ratios and every rule that ties the GC
+    /// and redundancy settings to the geometry.
     ///
     /// # Errors
     ///
-    /// Returns [`FtlError`] describing the problem.
-    pub fn validate(&self) -> Result<(), FtlError> {
-        self.geometry.validate().map_err(FtlError::Geometry)?;
-        if !(0.0..0.9).contains(&self.op_ratio) {
-            return Err(FtlError::Config("op_ratio must be in [0, 0.9)".into()));
+    /// Returns a [`ConfigError`] naming the first invalid field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let (g, gc) = (&self.geometry, &self.gc);
+        g.validate()?;
+        if g.ways > WayMask::MAX_WAYS {
+            let reason = format!("must be at most {}", WayMask::MAX_WAYS);
+            return ConfigError::err("geometry.ways", reason);
         }
-        self.gc.validate().map_err(FtlError::Config)?;
-        self.redundancy
-            .validate(&self.geometry)
-            .map_err(FtlError::Config)?;
+        if !(0.0..0.9).contains(&self.op_ratio) {
+            return ConfigError::err("op_ratio", "must be in [0, 0.9)");
+        }
+        gc.validate()?;
+        let spatial = gc
+            .plan
+            .is_some_and(|p| p.placement == PlacementSpec::Spatial);
+        if spatial && g.ways < 2 {
+            return ConfigError::err("gc.plan", "spatial GC needs at least two ways");
+        }
+        self.redundancy.validate(g)?;
         // The GC reserve must sit below the trigger watermark, or writes
         // would stall before reclamation ever starts.
-        let reserve = self.gc.victims_per_trigger as u64 + 1;
-        let trigger_blocks =
-            (self.geometry.block_count() as f64 * self.gc.trigger_free_ratio) as u64;
+        let reserve = gc.victims_per_trigger as u64 + 1;
+        let trigger_blocks = (g.block_count() as f64 * gc.trigger_free_ratio) as u64;
         if reserve >= trigger_blocks.max(1) {
-            return Err(FtlError::Config(format!(
-                "victims_per_trigger ({}) too large: the GC reserve ({reserve} blocks) \
-                 reaches the trigger watermark ({trigger_blocks} blocks)",
-                self.gc.victims_per_trigger
-            )));
+            return ConfigError::err(
+                "gc.victims_per_trigger",
+                format!(
+                    "({}) too large: the GC reserve ({reserve} blocks) reaches the \
+                     trigger watermark ({trigger_blocks} blocks)",
+                    gc.victims_per_trigger
+                ),
+            );
         }
         Ok(())
-    }
-}
-
-impl Default for FtlConfig {
-    fn default() -> Self {
-        FtlConfig::evaluation_defaults()
     }
 }
 
 /// Errors from FTL operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FtlError {
-    /// Invalid geometry.
-    Geometry(GeometryError),
     /// Invalid configuration value.
-    Config(String),
+    Config(ConfigError),
     /// The LPN exceeds the logical capacity.
     LpnOutOfRange(u64),
     /// No free block is available within the permitted ways.
@@ -103,8 +120,7 @@ pub enum FtlError {
 impl fmt::Display for FtlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FtlError::Geometry(e) => write!(f, "invalid geometry: {e}"),
-            FtlError::Config(msg) => write!(f, "invalid configuration: {msg}"),
+            FtlError::Config(e) => e.fmt(f),
             FtlError::LpnOutOfRange(l) => write!(f, "lpn{l} exceeds logical capacity"),
             FtlError::OutOfSpace => f.write_str("no free block in any permitted plane"),
         }
@@ -114,9 +130,15 @@ impl fmt::Display for FtlError {
 impl std::error::Error for FtlError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            FtlError::Geometry(e) => Some(e),
+            FtlError::Config(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<ConfigError> for FtlError {
+    fn from(e: ConfigError) -> Self {
+        FtlError::Config(e)
     }
 }
 
@@ -244,17 +266,11 @@ impl Ftl {
     ///
     /// # Errors
     ///
-    /// Returns [`FtlError`] if the configuration is invalid.
-    pub fn new(config: FtlConfig) -> Result<Self, FtlError> {
+    /// Returns a [`ConfigError`] if the configuration is invalid.
+    pub fn new(config: FtlConfig) -> Result<Self, ConfigError> {
         config.validate()?;
         let geometry = config.geometry;
-        let mut logical_pages =
-            (geometry.page_count() as f64 * (1.0 - config.op_ratio)).floor() as u64;
-        if config.redundancy.enabled {
-            // One page per stripe holds parity, not user data.
-            let sw = config.redundancy.stripe_width as u64;
-            logical_pages = logical_pages * (sw - 1) / sw;
-        }
+        let logical_pages = config.logical_pages();
         let mapping = MappingTable::new(logical_pages, geometry.page_count());
         let blocks = BlockTable::new(&geometry);
         let user_alloc = PageAllocator::new(&geometry, config.alloc_policy);
@@ -338,7 +354,7 @@ impl Ftl {
     /// yielding): either the hard watermark is breached or user writes are
     /// already blocked on the GC reserve.
     pub fn critically_low(&self) -> bool {
-        self.free_ratio() <= self.config.gc.hard_free_ratio
+        self.free_ratio() <= GcConfig::HARD_FREE_RATIO
             || self.blocks.free_blocks() <= self.gc_reserve_blocks() + 1
     }
 
@@ -730,14 +746,12 @@ impl Ftl {
         rng: &mut R,
     ) -> Result<(), FtlError> {
         if !(0.0..=1.0).contains(&fill_fraction) {
-            return Err(FtlError::Config(format!(
-                "fill fraction {fill_fraction} outside [0, 1]"
-            )));
+            let reason = format!("fraction {fill_fraction} outside [0, 1]");
+            return Err(ConfigError::new("fill", reason).into());
         }
         if !(0.0..=2.0).contains(&overwrite_fraction) {
-            return Err(FtlError::Config(format!(
-                "overwrite fraction {overwrite_fraction} outside [0, 2]"
-            )));
+            let reason = format!("fraction {overwrite_fraction} outside [0, 2]");
+            return Err(ConfigError::new("overwrite", reason).into());
         }
         let filled = (self.logical_pages as f64 * fill_fraction) as u64;
         let bulk = self.bulk_fill_len(filled);
@@ -1461,10 +1475,7 @@ mod tests {
         let mut cfg = FtlConfig::evaluation_defaults();
         cfg.geometry = Geometry::tiny();
         cfg.redundancy = RedundancyConfig::with_stripe(4);
-        match Ftl::new(cfg) {
-            Err(FtlError::Config(msg)) => assert!(msg.contains("stripe"), "{msg}"),
-            other => panic!("expected config error, got {other:?}"),
-        }
+        assert_eq!(Ftl::new(cfg).unwrap_err().field, "redundancy.stripe_width");
     }
 
     #[test]

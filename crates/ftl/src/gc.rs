@@ -16,7 +16,7 @@
 
 use core::fmt;
 
-use nssd_sim::{CkptError, CkptReader, CkptWriter};
+use nssd_sim::{CkptError, CkptReader, CkptWriter, ConfigError};
 
 use crate::{GcPlanSpec, PlacementSpec, PreemptionSpec, VictimSpec, WayMask};
 
@@ -75,24 +75,23 @@ pub struct GcConfig {
     pub victims_per_trigger: u32,
     /// Fraction of ways assigned to the GC group under spatial GC.
     pub gc_group_fraction: f64,
-    /// Below this free ratio, preemptive GC stops yielding to I/O.
-    pub hard_free_ratio: f64,
     /// The collector: one component per axis. `None` disables timed GC
     /// (the no-GC I/O experiments, Figs 14–17).
     pub plan: Option<GcPlanSpec>,
 }
 
 impl GcConfig {
+    /// Below this free ratio, preemptive GC stops yielding to I/O.
+    pub const HARD_FREE_RATIO: f64 = 0.025;
+
     /// The evaluation defaults: PaGC with greedy victims, trigger at 10%
-    /// free blocks, 8 victims per event, half/half spatial groups, 2.5% hard
-    /// watermark.
+    /// free blocks, 8 victims per event, half/half spatial groups.
     pub fn evaluation_defaults() -> Self {
         GcConfig {
             trigger_free_ratio: 0.10,
             stop_free_ratio: 0.105,
             victims_per_trigger: 8,
             gc_group_fraction: 0.5,
-            hard_free_ratio: 0.025,
             plan: Some(GcPolicy::Parallel.plan()),
         }
     }
@@ -101,36 +100,26 @@ impl GcConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message describing the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..1.0).contains(&self.trigger_free_ratio) {
-            return Err("trigger_free_ratio must be in [0, 1)".into());
+    /// Returns a [`ConfigError`] naming the first invalid field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        // The trigger may not sit below the hard watermark.
+        if !(Self::HARD_FREE_RATIO..1.0).contains(&self.trigger_free_ratio) {
+            let reason = format!("must be in [{}, 1)", Self::HARD_FREE_RATIO);
+            return ConfigError::err("gc.trigger_free_ratio", reason);
         }
         // The gap must be strictly positive: an equal pair validates a
         // zero-duty-cycle hysteresis where every finished event immediately
         // re-arms the trigger.
         if !(self.stop_free_ratio > self.trigger_free_ratio && self.stop_free_ratio < 1.0) {
-            return Err("stop_free_ratio must be in (trigger_free_ratio, 1)".into());
-        }
-        if !(0.0..1.0).contains(&self.hard_free_ratio) {
-            return Err("hard_free_ratio must be in [0, 1)".into());
-        }
-        if self.hard_free_ratio > self.trigger_free_ratio {
-            return Err("hard watermark must not exceed the trigger watermark".into());
+            return ConfigError::err("gc.stop_free_ratio", "must be in (trigger_free_ratio, 1)");
         }
         if !(0.0 < self.gc_group_fraction && self.gc_group_fraction < 1.0) {
-            return Err("gc_group_fraction must be in (0, 1)".into());
+            return ConfigError::err("gc.gc_group_fraction", "must be in (0, 1)");
         }
         if self.victims_per_trigger == 0 {
-            return Err("victims_per_trigger must be nonzero".into());
+            return ConfigError::err("gc.victims_per_trigger", "must be nonzero");
         }
         Ok(())
-    }
-}
-
-impl Default for GcConfig {
-    fn default() -> Self {
-        GcConfig::evaluation_defaults()
     }
 }
 
@@ -246,18 +235,25 @@ mod tests {
 
     #[test]
     fn bad_configs_rejected() {
-        let mut c = GcConfig::evaluation_defaults();
-        c.trigger_free_ratio = 1.5;
-        assert!(c.validate().is_err());
-        let mut c = GcConfig::evaluation_defaults();
-        c.hard_free_ratio = 0.5;
-        assert!(c.validate().is_err());
-        let mut c = GcConfig::evaluation_defaults();
-        c.gc_group_fraction = 1.0;
-        assert!(c.validate().is_err());
-        let mut c = GcConfig::evaluation_defaults();
-        c.victims_per_trigger = 0;
-        assert!(c.validate().is_err());
+        let field = |f: fn(&mut GcConfig)| {
+            let mut c = GcConfig::evaluation_defaults();
+            f(&mut c);
+            c.validate().unwrap_err().field
+        };
+        assert_eq!(
+            field(|c| c.trigger_free_ratio = 1.5),
+            "gc.trigger_free_ratio"
+        );
+        // The trigger may not sit below the hard watermark.
+        assert_eq!(
+            field(|c| c.trigger_free_ratio = 0.01),
+            "gc.trigger_free_ratio"
+        );
+        assert_eq!(field(|c| c.gc_group_fraction = 1.0), "gc.gc_group_fraction");
+        assert_eq!(
+            field(|c| c.victims_per_trigger = 0),
+            "gc.victims_per_trigger"
+        );
     }
 
     #[test]

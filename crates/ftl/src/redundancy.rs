@@ -15,6 +15,7 @@
 //! and the paced rebuild process.
 
 use nssd_flash::{Geometry, PageAddr};
+use nssd_sim::ConfigError;
 
 /// Parity-redundancy configuration (off by default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,36 +51,35 @@ impl RedundancyConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message describing the first invalid combination.
-    pub fn validate(&self, g: &Geometry) -> Result<(), String> {
+    /// Returns a [`ConfigError`] on `redundancy.stripe_width` describing the
+    /// first invalid combination.
+    pub fn validate(&self, g: &Geometry) -> Result<(), ConfigError> {
         if !self.enabled {
             return Ok(());
         }
+        let err = |reason: String| ConfigError::err("redundancy.stripe_width", reason);
         if self.stripe_width < 2 {
-            return Err(
-                "redundancy stripe_width must be at least 2 (one data chip plus parity)"
-                    .to_string(),
-            );
+            return err("must be at least 2 (one data chip plus parity)".into());
         }
         if g.channels < self.stripe_width {
             if g.ways == 1 {
-                return Err(format!(
-                    "redundancy stripe of width {} cannot fit a single-way device \
-                     with {} channels: the parity group spans channels, so a \
-                     ways == 1 geometry needs at least stripe_width channels",
+                return err(format!(
+                    "{} cannot fit a single-way device with {} channels: the \
+                     parity group spans channels, so a ways == 1 geometry needs \
+                     at least stripe_width channels",
                     self.stripe_width, g.channels
                 ));
             }
-            return Err(format!(
-                "redundancy stripe_width {} exceeds the {} channels a parity group spans",
+            return err(format!(
+                "{} exceeds the {} channels a parity group spans",
                 self.stripe_width, g.channels
             ));
         }
         if !g.channels.is_multiple_of(self.stripe_width) {
-            return Err(format!(
-                "channel count {} is not a multiple of stripe_width {}: parity \
-                 groups must tile the channels exactly",
-                g.channels, self.stripe_width
+            return err(format!(
+                "{} does not divide the channel count {}: parity groups must \
+                 tile the channels exactly",
+                self.stripe_width, g.channels
             ));
         }
         Ok(())
@@ -117,12 +117,6 @@ impl RedundancyConfig {
     }
 }
 
-impl Default for RedundancyConfig {
-    fn default() -> Self {
-        RedundancyConfig::off()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +135,8 @@ mod tests {
     fn narrow_stripe_rejected_with_message() {
         let g = Geometry::tiny();
         let err = RedundancyConfig::with_stripe(1).validate(&g).unwrap_err();
-        assert!(err.contains("stripe_width must be at least 2"), "{err}");
+        assert_eq!(err.field, "redundancy.stripe_width");
+        assert!(err.reason.contains("at least 2"), "{err}");
     }
 
     #[test]
@@ -149,7 +144,7 @@ mod tests {
         // scaled() has 8 channels: width 3 does not divide them.
         let g = Geometry::scaled();
         let err = RedundancyConfig::with_stripe(3).validate(&g).unwrap_err();
-        assert!(err.contains("not a multiple of stripe_width"), "{err}");
+        assert!(err.reason.contains("does not divide"), "{err}");
         for w in [2u32, 4, 8] {
             assert!(RedundancyConfig::with_stripe(w).validate(&g).is_ok());
         }
@@ -163,14 +158,14 @@ mod tests {
         assert!(RedundancyConfig::with_stripe(2).validate(&g).is_ok());
         // ...but a wider stripe than the channel count cannot fit.
         let err = RedundancyConfig::with_stripe(4).validate(&g).unwrap_err();
-        assert!(err.contains("single-way"), "{err}");
+        assert!(err.reason.contains("single-way"), "{err}");
     }
 
     #[test]
     fn oversized_stripe_on_multiway_device_names_the_channels() {
         let g = Geometry::tiny(); // 2 channels, 2 ways
         let err = RedundancyConfig::with_stripe(4).validate(&g).unwrap_err();
-        assert!(err.contains("exceeds the 2 channels"), "{err}");
+        assert!(err.reason.contains("exceeds the 2 channels"), "{err}");
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //! O(pages per block).
 //!
 //! The oracle never aborts the simulation: violations accumulate in a
-//! [`ViolationLog`](nssd_sim::ViolationLog) and surface in the run report,
-//! where tests assert the log is empty (or, for mutation self-tests, that
-//! it is not).
+//! [`nssd_sim::ViolationLog`] and surface in the run report, where tests
+//! assert the log is empty (or, for mutation self-tests, that it is not).
 //!
 //! ```
 //! use nssd_ftl::{Ftl, FtlConfig, Lpn};

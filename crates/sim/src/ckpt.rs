@@ -264,7 +264,18 @@ impl<'a> CkptReader<'a> {
 /// Convenience: encode a `u64` slice with a length prefix.
 pub fn put_u64_slice(w: &mut CkptWriter, vals: &[u64]) {
     w.put_usize(vals.len());
-    for &v in vals {
+    w.buf.reserve(vals.len() * 8);
+    // Encode 32 values at a time through a stack block, so the buffer is
+    // appended to once per block rather than once per value.
+    let mut chunks = vals.chunks_exact(32);
+    for chunk in &mut chunks {
+        let mut block = [0u8; 256];
+        for (k, v) in chunk.iter().enumerate() {
+            block[k * 8..k * 8 + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        w.buf.extend_from_slice(&block);
+    }
+    for &v in chunks.remainder() {
         w.put_u64(v);
     }
 }

@@ -49,16 +49,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Creates an empty queue sized for `cap` pending events.
-    ///
-    /// The wheel spreads events across fixed bucket rings, so there is no
-    /// single backing array to pre-size; the hint is accepted for API
-    /// compatibility and buckets grow to their steady-state capacity on
-    /// first use.
-    pub fn with_capacity(_cap: usize) -> Self {
-        Self::new()
-    }
-
     /// Schedules `event` to fire at absolute time `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let key = Key {

@@ -20,6 +20,7 @@
 //!   experiment matrices render byte-identically to serial runs.
 //! * [`json`] — the ordered JSON value and renderer behind every report and
 //!   artifact the workspace writes.
+//! * [`ConfigError`] — the one error every configuration check returns.
 //!
 //! # Example: a two-stage pipeline
 //!
@@ -59,6 +60,7 @@
 
 mod check;
 pub mod ckpt;
+mod config;
 mod event;
 pub mod json;
 mod pool;
@@ -73,6 +75,7 @@ pub use check::{Violation, ViolationLog};
 pub use ckpt::{
     put_u64_slice, take_u64_vec, take_u64_vec_exact, CkptError, CkptReader, CkptWriter,
 };
+pub use config::ConfigError;
 pub use event::EventQueue;
 pub use pool::Pool;
 pub use resource::{BandwidthPipe, Reservation, Resource};

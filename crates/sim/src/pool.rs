@@ -38,7 +38,8 @@ use std::sync::Mutex;
 
 /// A scoped-thread job pool returning results in submission order.
 ///
-/// See the [module docs](self) for the determinism contract.
+/// Results come back in submission order at any worker count, so a
+/// parallel matrix renders byte-identically to a serial run.
 #[derive(Debug, Clone, Copy)]
 pub struct Pool {
     workers: usize,

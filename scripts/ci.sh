@@ -10,6 +10,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (-D warnings)"
+# A doc link to a deleted field or a private item fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --workspace --release
 

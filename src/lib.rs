@@ -63,9 +63,9 @@ pub use nssd_workloads as workloads;
 
 // The most-used items, flattened for convenience.
 pub use nssd_core::{
-    prepare, run_trace, run_trace_preconditioned, Aging, Architecture, Drive, FaultConfig,
-    GoldenCase, OracleSummary, ReliabilityStats, SchedulerKind, SimReport, SloClass, SsdConfig,
-    TenantConfig, TenantSummary,
+    prepare, run_trace, run_trace_preconditioned, Aging, Architecture, ConfigError, Drive,
+    FaultConfig, GoldenCase, OracleSummary, ReliabilityStats, SchedulerKind, SimReport, SloClass,
+    SsdConfig, TenantConfig, TenantSummary,
 };
 pub use nssd_ftl::{GcPlan, GcPlanSpec, GcPolicy, PlacementSpec, PreemptionSpec, VictimSpec};
 pub use nssd_workloads::{

@@ -123,42 +123,19 @@ fn link_retry_exhaustion_is_a_host_visible_error() {
         r.reliability
     );
     assert_eq!(r.completed, 300, "failed requests still complete");
-
-    // Exponential backoff stretches the retry gaps but recovers the same
-    // transfers: the error accounting must not depend on the gap shape.
-    let mut backoff = cfg;
-    backoff.faults.link.backoff_multiplier = Some(2.0);
-    let b = run_trace(backoff, &trace).unwrap();
-    assert_eq!(
-        b.reliability.unrecovered_transfers,
-        r.reliability.unrecovered_transfers
-    );
-    assert_eq!(b.reliability.host_io_errors, r.reliability.host_io_errors);
-    assert!(b.all.mean >= r.all.mean, "longer gaps cannot be faster");
 }
 
 #[test]
-fn invalid_redundancy_and_backoff_configs_are_rejected_with_messages() {
-    // Stripe wider than the tiny geometry's 2 channels.
-    let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
-    cfg.redundancy = RedundancyConfig::with_stripe(4);
-    let err = SsdSim::new(cfg).unwrap_err();
-    assert!(err.contains("exceeds the 2 channels"), "{err}");
-
-    // Degenerate stripe.
-    let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
-    cfg.redundancy = RedundancyConfig::with_stripe(1);
-    let err = SsdSim::new(cfg).unwrap_err();
-    assert!(err.contains("stripe_width must be at least 2"), "{err}");
-
-    // A backoff multiplier that never backs off.
-    let mut cfg = SsdConfig::tiny(Architecture::PSsd);
-    cfg.faults.link.backoff_multiplier = Some(1.0);
-    let err = SsdSim::new(cfg).unwrap_err();
-    assert!(
-        err.contains("backoff_multiplier must be in (1.0, ..)"),
-        "{err}"
-    );
+fn invalid_redundancy_configs_are_rejected_naming_the_field() {
+    // A stripe wider than the tiny geometry's 2 channels, and a degenerate
+    // one: both name the stripe width, from validation and construction.
+    for width in [4, 1] {
+        let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
+        cfg.redundancy = RedundancyConfig::with_stripe(width);
+        let err = SsdSim::new(cfg).unwrap_err();
+        assert_eq!(err.field, "redundancy.stripe_width", "{err}");
+        assert_eq!(cfg.validate(), Err(err));
+    }
 }
 
 /// Mutation self-test: a rebuild copy is "dropped" — the FTL re-places a
